@@ -5,12 +5,10 @@ Subcommands::
     escher run <config>                  time-step a configuration, write
                                          diagnostics.csv and VTK snapshots
     escher eoc <config> --levels N       mesh-refinement study on a sphere,
-                [--imex] [--parallel-levels]   write eoc_u.csv / eoc_w.csv
+                [--imex]                 write eoc_u.csv / eoc_w.csv
     escher mesh-info <config>            print mesh statistics and exit
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure.  The
-environment variable ESCHER_THREADS caps how many worker processes a
-parallel study may use.
+Exit codes: 0 success, 2 configuration error, 3 solver failure.
 """
 
 import argparse
@@ -45,8 +43,6 @@ def _build_parser():
     p_eoc.add_argument("--levels", type=int, default=4)
     p_eoc.add_argument("--imex", action="store_true",
                        help="use the implicit-explicit scheme on the levels")
-    p_eoc.add_argument("--parallel-levels", action="store_true",
-                       help="run refinement levels in worker processes")
 
     p_info = sub.add_parser("mesh-info", help="print mesh statistics")
     p_info.add_argument("config", type=Path)
@@ -97,8 +93,7 @@ def _cmd_eoc(args):
     if args.imex:
         scheme_cfg = replace(scheme_cfg, scheme=IMEX)
     result = eoc_study(scheme_cfg, surface, pot, cfg.initial_function(),
-                       cfg.subdivisions, args.levels,
-                       parallel=args.parallel_levels)
+                       cfg.subdivisions, args.levels)
 
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)

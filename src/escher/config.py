@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .potentials import make_potential
-from .solver import SCHEMES, SchemeConfig
+from .solver import SchemeConfig
 from .surfaces import make_surface, surface_kinds
 
 
@@ -66,10 +66,8 @@ class RunConfig:
     initial_value: float = 0.0
     newton_tol: float = 1e-11
     newton_max_iter: int = 25
-    linear_solver: str = "auto"
     output_dir: str = "out"
     snapshot_every: int = 0
-    seed: int = 0                  # reserved
 
     def build_surface(self):
         return make_surface(self.surface_kind, **self.surface_params)
@@ -93,7 +91,6 @@ class RunConfig:
             scheme=self.scheme,
             newton_tol=self.newton_tol,
             newton_max_iter=self.newton_max_iter,
-            linear_solver=self.linear_solver,
         )
 
     def initial_function(self):
@@ -104,42 +101,25 @@ class RunConfig:
         return partial(_constant_initial, value=self.initial_value)
 
 
-_POSITIVE_FIELDS = ("eps", "tau")
-
-
 def validate_config(cfg):
     """Reject inconsistent configurations; returns the config unchanged."""
     if cfg.surface_kind not in surface_kinds():
         raise ValidationError("surface.kind",
                               f"expected one of {surface_kinds()}")
-    for name in _POSITIVE_FIELDS:
-        value = getattr(cfg, name)
-        if not math.isfinite(value) or value <= 0.0:
-            raise ValidationError(name, "must be finite and positive")
-    if not math.isfinite(cfg.t_end) or cfg.t_end < 0.0:
-        raise ValidationError("T", "must be finite and nonnegative")
-    if cfg.tau > cfg.t_end > 0.0:
-        raise ValidationError("tau", "timestep exceeds final time")
-    if cfg.t_end > 0.0:
-        steps = round(cfg.t_end / cfg.tau)
-        if steps < 1 or abs(steps * cfg.tau - cfg.t_end) > 1e-8 * cfg.t_end:
-            raise ValidationError("tau", "must divide T into whole steps")
-    if cfg.scheme not in SCHEMES:
-        raise ValidationError("scheme", f"expected one of {SCHEMES}")
+    scheme = cfg.scheme_config()
+    try:
+        scheme.validate()
+        scheme.step_count()
+    except ValidationError as exc:
+        raise ValidationError(_KEY_OF[exc.field], exc.reason) from None
     if cfg.initial not in INITIAL_DATA:
         raise ValidationError("initial", f"expected one of {INITIAL_DATA}")
     if cfg.subdivisions < 0:
         raise ValidationError("mesh.subdivisions", "must be >= 0")
     if cfg.n_major < 3 or cfg.n_minor < 3:
         raise ValidationError("mesh.n_major", "torus grid needs >= 3 each way")
-    if cfg.theta < 0.0:
-        raise ValidationError("theta", "must be nonnegative")
-    if cfg.newton_tol <= 0.0:
-        raise ValidationError("newton.tol", "must be positive")
-    if cfg.newton_max_iter < 1:
-        raise ValidationError("newton.max_iter", "must be >= 1")
-    if cfg.linear_solver not in ("auto", "lu", "reuse-lu", "bicgstab"):
-        raise ValidationError("linear_solver", "expected auto, lu, reuse-lu or bicgstab")
+    if not math.isfinite(cfg.theta) or cfg.theta < 0.0:
+        raise ValidationError("theta", "must be finite and nonnegative")
     if cfg.snapshot_every < 0:
         raise ValidationError("output.snapshot_every", "must be >= 0")
     try:
@@ -169,11 +149,10 @@ _KEYS = {
     "initial.value": ("initial_value", float),
     "newton.tol": ("newton_tol", float),
     "newton.max_iter": ("newton_max_iter", int),
-    "linear_solver": ("linear_solver", str),
     "output.dir": ("output_dir", str),
     "output.snapshot_every": ("snapshot_every", int),
-    "seed": ("seed", int),
 }
+_KEY_OF = {attr: key for key, (attr, _) in _KEYS.items()}
 
 
 def parse_config(text):

@@ -7,8 +7,6 @@ experimental-order-of-convergence bookkeeping.
 """
 
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .assembly import assemble_operators, integrate_composed
@@ -27,7 +25,6 @@ class DiagnosticRecord:
     area: float
     h: float
     newton_iters: int
-    hminus1: Optional[float] = None
 
     CSV_COLUMNS = ("step", "time", "energy", "mass", "area", "h", "newton_iters")
 

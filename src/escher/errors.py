@@ -73,6 +73,7 @@ class ValidationError(EscherError):
     def __init__(self, field, message=""):
         super().__init__(f"{field}: {message}" if message else field)
         self.field = field
+        self.reason = message
 
 
 class IoError(EscherError):

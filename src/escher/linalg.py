@@ -15,28 +15,9 @@ def lu_factor(A):
         raise SingularMatrix(str(exc)) from exc
 
 
-def solve_sparse(A, b, method="lu"):
-    """Solve a square nonsingular sparse system.
-
-    ``method='lu'`` uses sparse LU with partial pivoting (the default);
-    ``method='bicgstab'`` uses BiCGStab with diagonal preconditioning as a
-    memory-light fallback for large systems.
-    """
-    b = np.asarray(b, dtype=float)
-    if method == "lu":
-        return lu_factor(A).solve(b)
-    if method == "bicgstab":
-        diag = A.diagonal()
-        if np.any(diag == 0.0):
-            precond = None
-        else:
-            precond = spla.LinearOperator(A.shape, lambda v: v / diag)
-        x, info = spla.bicgstab(A, b, M=precond, rtol=1e-12, atol=0.0,
-                                maxiter=20 * A.shape[0])
-        if info != 0:
-            raise IterativeBreakdown(f"bicgstab failed with info={info}")
-        return x
-    raise ValueError(f"unknown linear solver {method!r}")
+def solve_sparse(A, b):
+    """Solve a square nonsingular sparse system by sparse LU."""
+    return lu_factor(A).solve(np.asarray(b, dtype=float))
 
 
 def solve_mean_zero_spd(A, b, M, rtol=1e-12):

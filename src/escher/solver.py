@@ -15,10 +15,11 @@ one step solves the 2N x 2N block system
             - (1/eps) (0; F(alpha)) = (M_prev alpha_prev;
                                        -(theta/eps) M_prev alpha_prev)
 
-by Newton's method with the exact Jacobian; each linearisation is solved by
-sparse LU, either factored directly or reused as a Krylov preconditioner on
-long fine-mesh runs.  Testing the first block row with constants shows the
-mass ``1^T M alpha`` is conserved step to step by construction.
+by Newton's method with the exact Jacobian.  Every linearisation is solved
+through one sparse LU factorisation, kept across iterations and timesteps
+as a BiCGStab preconditioner and refreshed when it goes stale.  Testing the
+first block row with constants shows the mass ``1^T M alpha`` is conserved
+step to step by construction.
 
 The fully implicit solution is unique only for ``tau < 4 eps^3 / theta^2``;
 a violation triggers a warning, not an error, since the scheme may still
@@ -30,6 +31,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .assembly import (
     assemble_nonlinear_jacobian,
@@ -38,7 +40,7 @@ from .assembly import (
     element_geometry,
     quadrature_points_3d,
 )
-from .diagnostics import DiagnosticRecord, ginzburg_landau_energy, hminus1_norm
+from .diagnostics import DiagnosticRecord, ginzburg_landau_energy
 from .errors import LengthMismatch, NewtonDivergence, ValidationError
 from .linalg import lu_factor, solve_mean_zero_spd, solve_sparse
 from .meshing import advance_mesh, mesh_size_h, surface_area
@@ -47,10 +49,6 @@ from .quadrature import quadrature_rule
 FULLY_IMPLICIT = "fully_implicit"
 IMEX = "imex"
 SCHEMES = (FULLY_IMPLICIT, IMEX)
-
-# beyond this many nodes the block LU becomes memory-hungry; fall back to
-# the preconditioned iterative solver when the choice is left to 'auto'
-DIRECT_SOLVER_NODE_LIMIT = 50_000
 
 
 @dataclass(frozen=True)
@@ -63,25 +61,22 @@ class SchemeConfig:
     scheme: str = FULLY_IMPLICIT
     newton_tol: float = 1e-11
     newton_max_iter: int = 25
-    linear_solver: str = "auto"  # 'auto' | 'lu' | 'bicgstab'
 
     def validate(self):
         if not np.isfinite(self.eps) or self.eps <= 0.0:
-            raise ValidationError("eps", "must be positive")
+            raise ValidationError("eps", "must be finite and positive")
         if not np.isfinite(self.tau) or self.tau <= 0.0:
-            raise ValidationError("tau", "must be positive")
-        if self.t_end < 0.0:
-            raise ValidationError("t_end", "must be nonnegative")
+            raise ValidationError("tau", "must be finite and positive")
+        if not np.isfinite(self.t_end) or self.t_end < 0.0:
+            raise ValidationError("t_end", "must be finite and nonnegative")
         if self.tau > self.t_end > 0.0:
             raise ValidationError("tau", "timestep exceeds final time")
         if self.scheme not in SCHEMES:
             raise ValidationError("scheme", f"expected one of {SCHEMES}")
-        if self.newton_tol <= 0.0:
-            raise ValidationError("newton_tol", "must be positive")
+        if not np.isfinite(self.newton_tol) or self.newton_tol <= 0.0:
+            raise ValidationError("newton_tol", "must be finite and positive")
         if self.newton_max_iter < 1:
             raise ValidationError("newton_max_iter", "must be >= 1")
-        if self.linear_solver not in ("auto", "lu", "reuse-lu", "bicgstab"):
-            raise ValidationError("linear_solver", "expected auto, lu, reuse-lu or bicgstab")
 
     def step_count(self):
         """Number of steps; the timestep must divide the final time."""
@@ -89,9 +84,8 @@ class SchemeConfig:
             return 0
         n = int(round(self.t_end / self.tau))
         if n < 1 or abs(n * self.tau - self.t_end) > 1e-8 * self.t_end:
-            raise ValidationError(
-                "tau", f"{self.tau!r} does not divide t_end={self.t_end!r}"
-            )
+            raise ValidationError("tau", f"{self.tau!r} does not divide "
+                                         f"the final time {self.t_end!r}")
         return n
 
     def uniqueness_bound(self, pot):
@@ -119,24 +113,15 @@ def _check_state(mesh, state):
         )
 
 
-def _linear_method(cfg, node_count):
-    if cfg.linear_solver == "auto":
-        if node_count > DIRECT_SOLVER_NODE_LIMIT:
-            return "bicgstab"
-        return "reuse-lu" if node_count > 2000 else "lu"
-    return cfg.linear_solver
-
-
 class LinearContext:
     """Linear solves for Newton iterations, reusable across timesteps.
 
-    ``lu`` factors every matrix directly.  ``reuse-lu`` keeps the last
-    factorisation and applies it as a preconditioner for BiCGStab on
-    subsequent nearby systems, refactoring when the iteration stops being
-    cheap; on fine meshes with small timesteps consecutive Jacobians differ
-    little, so this cuts most factorisations while solving each
-    linearisation to direct-solver accuracy.  ``bicgstab`` is the
-    diagonally preconditioned fallback for systems too large to factor.
+    The first system is factored by sparse LU.  Later systems are solved
+    by BiCGStab preconditioned with that factorisation: consecutive
+    Jacobians differ little, so a few iterations reach ``RTOL``.  When
+    BiCGStab fails the system is factored afresh and solved exactly; when
+    it needs more than half of ``REUSE_MAX_ITER`` iterations the answer is
+    kept but the next system is factored afresh.
     """
 
     # inner Krylov tolerance: inexact Newton directions are fine because the
@@ -144,20 +129,10 @@ class LinearContext:
     RTOL = 1e-6
     REUSE_MAX_ITER = 24
 
-    def __init__(self, method):
-        self.method = method
+    def __init__(self):
         self._factor = None
 
     def solve(self, matrix, b):
-        if self.method == "lu":
-            return lu_factor(matrix).solve(b)
-        if self.method == "bicgstab":
-            return solve_sparse(matrix, b, method="bicgstab")
-        return self._solve_reuse(matrix, b)
-
-    def _solve_reuse(self, matrix, b):
-        import scipy.sparse.linalg as spla
-
         if self._factor is not None:
             precond = spla.LinearOperator(matrix.shape, self._factor.solve,
                                           dtype=float)
@@ -196,7 +171,7 @@ def _newton(ops, rhs1, rhs2, b_matrix, state, cfg, pot, mesh_next,
     M, A = ops.M, ops.A
     tau, eps = cfg.tau, cfg.eps
     if context is None:
-        context = LinearContext(_linear_method(cfg, ops.node_count))
+        context = LinearContext()
 
     if initial_guess is None:
         guess = (state.alpha.copy(), state.beta.copy())
@@ -341,10 +316,7 @@ def chemical_potential_for(mesh, alpha, cfg, pot):
     rhs = cfg.eps * (ops.A @ alpha) + (
         assemble_nonlinear_load(mesh, alpha, pot) - pot.theta * (ops.M @ alpha)
     ) / cfg.eps
-    method = _linear_method(cfg, mesh.node_count)
-    if method != "bicgstab":
-        method = "lu"  # the mass matrix factors cheaply at any size we direct-solve
-    return solve_sparse(ops.M, rhs, method=method)
+    return solve_sparse(ops.M, rhs)
 
 
 def ritz_projection(mesh, z, grad_z, degree=4):
@@ -382,13 +354,7 @@ class SimulationResult:
     snapshots: list  # [(mesh, state), ...] at the configured cadence
 
 
-def _record(mesh, state, cfg, pot, record_hminus1):
-    hm1 = None
-    if record_hminus1:
-        ops = assemble_operators(mesh)
-        lumped = np.asarray(ops.M.sum(axis=1)).ravel()
-        mean_free = state.alpha - lumped @ state.alpha / lumped.sum()
-        hm1 = hminus1_norm(mesh, mean_free)
+def _record(mesh, state, cfg, pot):
     return DiagnosticRecord(
         step=state.step,
         time=state.time,
@@ -397,12 +363,10 @@ def _record(mesh, state, cfg, pot, record_hminus1):
         area=surface_area(mesh),
         h=mesh_size_h(mesh),
         newton_iters=state.newton_iters,
-        hminus1=hm1,
     )
 
 
-def run_simulation(cfg, mesh, alpha0, pot, *, snapshot_every=0,
-                   record_hminus1=False):
+def run_simulation(cfg, mesh, alpha0, pot, *, snapshot_every=0):
     """March the configured scheme from the mesh's current time to t_end.
 
     Advances the mesh with the surface's exact node motion before every
@@ -428,11 +392,11 @@ def run_simulation(cfg, mesh, alpha0, pot, *, snapshot_every=0,
         )
 
     stepper = _STEPPERS[cfg.scheme]
-    context = LinearContext(_linear_method(cfg, mesh.node_count))
+    context = LinearContext()
     t0 = mesh.current_time
     state = PhaseState(alpha0, chemical_potential_for(mesh, alpha0, cfg, pot),
                        time=t0, step=0)
-    records = [_record(mesh, state, cfg, pot, record_hminus1)]
+    records = [_record(mesh, state, cfg, pot)]
     snapshots = [(mesh, state)] if snapshot_every > 0 else []
 
     for n in range(1, n_steps + 1):
@@ -443,7 +407,7 @@ def run_simulation(cfg, mesh, alpha0, pot, *, snapshot_every=0,
             exc.args = (f"step {n} (t={t0 + n * cfg.tau:g}): {exc}",)
             raise
         mesh = mesh_next
-        records.append(_record(mesh, state, cfg, pot, record_hminus1))
+        records.append(_record(mesh, state, cfg, pot))
         if snapshot_every > 0 and n % snapshot_every == 0:
             snapshots.append((mesh, state))
 

@@ -12,8 +12,6 @@ squared mesh size across levels so the first-order time error refines at
 the same rate as the spatial error.
 """
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -69,14 +67,8 @@ def compute_reference(cfg, surface, pot, u0, base_subdivisions, levels):
                              tau=tau_ref)
 
 
-def _max_workers(levels):
-    env = os.environ.get("ESCHER_THREADS")
-    cap = int(env) if env else os.cpu_count() or 1
-    return max(1, min(levels, cap))
-
-
 def eoc_study(cfg, surface, pot, u0, base_subdivisions, levels, *,
-              reference=None, parallel=False):
+              reference=None):
     """Run the scheme on ``levels`` refinement levels and tabulate orders.
 
     ``cfg.tau`` is the coarsest level's timestep; each finer level divides
@@ -94,13 +86,8 @@ def eoc_study(cfg, surface, pot, u0, base_subdivisions, levels, *,
         raise ValueError("reference hierarchy has fewer levels than requested")
 
     taus = tuple(_level_tau(cfg, lev) for lev in range(levels))
-    jobs = [(replace(cfg, tau=taus[lev]), hierarchy.levels[lev], u0, pot,
-             taus[lev]) for lev in range(levels)]
-    if parallel and levels > 1:
-        with ProcessPoolExecutor(max_workers=_max_workers(levels)) as pool:
-            outcomes = list(pool.map(_run_level_star, jobs))
-    else:
-        outcomes = [_run_level_star(job) for job in jobs]
+    outcomes = [_run_level_star((cfg, hierarchy.levels[lev], u0, pot, tau))
+                for lev, tau in enumerate(taus)]
 
     hs, err_u, err_w = [], [], []
     for lev, (alpha, beta, _mesh) in enumerate(outcomes):

@@ -78,6 +78,22 @@ def test_unknown_key_with_line_number():
     assert err.value.line == MINIMAL_SPHERE.count("\n") + 1
 
 
+@pytest.mark.parametrize("key", ["linear_solver", "seed"])
+def test_removed_keys_are_unknown(key):
+    with pytest.raises(ParseError, match=f"unknown key '{key}'"):
+        parse_config(MINIMAL_SPHERE + f"{key} = 0\n")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("T", "inf"), ("T", "nan"), ("newton.tol", "nan"), ("newton.tol", "inf"),
+    ("theta", "nan"), ("theta", "inf"), ("eps", "nan"), ("tau", "inf"),
+])
+def test_non_finite_values_rejected(key, value):
+    with pytest.raises(ValidationError) as err:
+        parse_config(MINIMAL_SPHERE + f"{key} = {value}\n")
+    assert err.value.field == key
+
+
 def test_missing_equals_sign():
     with pytest.raises(ParseError):
         parse_config("surface.kind oscillating_sphere\n")

@@ -2,12 +2,14 @@
 and consistency properties, and the smooth-function projection."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 
+from escher import solver
 from escher.assembly import assemble_operators
 from escher.config import sphere_eoc_initial
 from escher.diagnostics import l2_error
@@ -17,10 +19,11 @@ from escher.errors import (
     SingularMatrix,
     ValidationError,
 )
-from escher.linalg import solve_mean_zero_spd, solve_sparse
+from escher.linalg import lu_factor, solve_mean_zero_spd, solve_sparse
 from escher.meshing import advance_mesh, build_icosphere, mesh_size_h
 from escher.potentials import quartic_potential
 from escher.solver import (
+    LinearContext,
     PhaseState,
     SchemeConfig,
     chemical_potential_for,
@@ -52,19 +55,69 @@ class TestSolveSparse:
         A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
         npt.assert_allclose(solve_sparse(A, np.array([3.0, 3.0])), [1, 1])
 
-    @pytest.mark.parametrize("method", ["lu", "bicgstab"])
-    def test_random_spd_residual(self, method):
+    def test_random_spd_residual(self):
         rng = np.random.default_rng(0)
         raw = rng.normal(size=(50, 50))
         A = sp.csr_matrix(raw @ raw.T + 50 * np.eye(50))
         b = rng.normal(size=50)
-        x = solve_sparse(A, b, method=method)
+        x = solve_sparse(A, b)
         assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b) * 50
 
     def test_singular_matrix(self):
         A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(SingularMatrix):
             solve_sparse(A, np.ones(2))
+
+
+class TestLinearContext:
+    """The Newton linear solver: one LU factor reused as a BiCGStab
+    preconditioner until it goes stale."""
+
+    @pytest.fixture
+    def factor_calls(self, monkeypatch):
+        calls = []
+
+        def counting(matrix):
+            calls.append(matrix)
+            return lu_factor(matrix)
+
+        monkeypatch.setattr(solver, "lu_factor", counting)
+        return calls
+
+    @staticmethod
+    def block(mesh, tau, eps=0.05, theta=1.0):
+        ops = assemble_operators(mesh)
+        return sp.bmat([[ops.M, tau * ops.A],
+                        [-eps * ops.A + (theta / eps) * ops.M, ops.M]],
+                       format="csc")
+
+    @staticmethod
+    def relative_residual(matrix, x, b):
+        return np.linalg.norm(matrix @ x - b) / np.linalg.norm(b)
+
+    def test_nearby_matrix_reuses_the_factor(self, sphere_mesh, factor_calls):
+        b = np.random.default_rng(3).normal(size=2 * sphere_mesh.node_count)
+        context = LinearContext()
+        first = self.block(sphere_mesh, 1e-4)
+        assert self.relative_residual(first, context.solve(first, b), b) <= 1e-12
+        nearby = self.block(sphere_mesh, 1.1e-4)
+        x = context.solve(nearby, b)
+        assert len(factor_calls) == 1
+        assert self.relative_residual(nearby, x, b) <= LinearContext.RTOL
+
+    def test_far_matrix_is_factored_afresh(self, sphere_mesh, factor_calls):
+        b = np.random.default_rng(4).normal(size=2 * sphere_mesh.node_count)
+        context = LinearContext()
+        context.solve(self.block(sphere_mesh, 1e-4), b)
+        far = self.block(sphere_mesh, 1.0, eps=1.0, theta=0.0)
+        x = context.solve(far, b)
+        assert len(factor_calls) == 2 and factor_calls[-1] is far
+        assert self.relative_residual(far, x, b) <= 1e-12
+
+    def test_singular_matrix(self):
+        A = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        with pytest.raises(SingularMatrix):
+            LinearContext().solve(A, np.array([1.0, 0.0]))
 
 
 class TestSolveMeanZero:
@@ -186,6 +239,18 @@ class TestRunSimulation:
         result = run_simulation(cfg, sphere_mesh, alpha, pot)
         assert len(result.records) == 1
         assert result.final_state.step == 0
+
+    @pytest.mark.parametrize("field, value", [
+        ("t_end", np.inf), ("t_end", np.nan), ("newton_tol", np.nan),
+        ("newton_tol", np.inf), ("eps", np.nan), ("tau", np.inf),
+    ])
+    def test_non_finite_knobs_rejected(self, sphere_mesh, pot, field, value):
+        cfg = replace(SchemeConfig(eps=0.05, tau=1e-4, t_end=1e-3),
+                      **{field: value})
+        with pytest.raises(ValidationError) as err:
+            run_simulation(cfg, sphere_mesh, np.zeros(sphere_mesh.node_count),
+                           pot)
+        assert err.value.field == field
 
     def test_tau_must_divide_t_end(self, sphere_mesh, pot):
         cfg = SchemeConfig(eps=0.05, tau=3e-4, t_end=1e-3)

@@ -44,15 +44,6 @@ def test_imex_levels_against_shared_reference(tiny_study):
     assert all(e > 0 for e in imex.table_u.errors)
 
 
-def test_parallel_levels_match_sequential(tiny_study, monkeypatch):
-    cfg, surface, pot = tiny_study
-    monkeypatch.setenv("ESCHER_THREADS", "2")
-    seq = eoc_study(cfg, surface, pot, sphere_eoc_initial, 1, 2)
-    par = eoc_study(cfg, surface, pot, sphere_eoc_initial, 1, 2,
-                    reference=seq.reference, parallel=True)
-    np.testing.assert_allclose(par.table_u.errors, seq.table_u.errors, rtol=1e-12)
-
-
 def test_needs_two_levels(tiny_study):
     cfg, surface, pot = tiny_study
     with pytest.raises(ValueError):
