@@ -28,7 +28,7 @@ from .diagnostics import (
     l2_error,
 )
 from .errors import EscherError
-from .io import read_vtk, write_diagnostics_csv, write_eoc_csv, write_vtk
+from .io import write_diagnostics_csv, write_eoc_csv, write_vtk
 from .linalg import solve_mean_zero_spd, solve_sparse
 from .meshing import (
     MeshHierarchy,

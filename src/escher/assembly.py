@@ -105,7 +105,6 @@ class AssembledOperators:
     M: sp.csr_matrix
     A: sp.csr_matrix
     node_count: int
-    time: float
 
 
 def assemble_operators(mesh):
@@ -116,7 +115,6 @@ def assemble_operators(mesh):
             M=assemble_mass(mesh),
             A=assemble_stiffness(mesh),
             node_count=mesh.node_count,
-            time=mesh.current_time,
         )
         mesh._cache["operators"] = ops
     return ops

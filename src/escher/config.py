@@ -116,8 +116,9 @@ def validate_config(cfg):
         raise ValidationError("initial", f"expected one of {INITIAL_DATA}")
     if cfg.subdivisions < 0:
         raise ValidationError("mesh.subdivisions", "must be >= 0")
-    if cfg.n_major < 3 or cfg.n_minor < 3:
-        raise ValidationError("mesh.n_major", "torus grid needs >= 3 each way")
+    for key in ("n_major", "n_minor"):
+        if getattr(cfg, key) < 3:
+            raise ValidationError(f"mesh.{key}", "torus grid needs >= 3 each way")
     if not math.isfinite(cfg.theta) or cfg.theta < 0.0:
         raise ValidationError("theta", "must be finite and nonnegative")
     if cfg.snapshot_every < 0:

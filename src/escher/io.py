@@ -9,6 +9,7 @@ are ``h,error,eoc`` with an empty order on the first row.
 
 import numpy as np
 
+from .diagnostics import DiagnosticRecord
 from .errors import IoError
 
 
@@ -33,78 +34,25 @@ def write_vtk(mesh, arrays, path):
             fh.write("ASCII\n")
             fh.write("DATASET POLYDATA\n")
             fh.write(f"POINTS {n} double\n")
-            for p in mesh.nodes:
-                fh.write(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")
+            np.savetxt(fh, mesh.nodes, fmt="%.17g")
             nt = mesh.triangle_count
             fh.write(f"POLYGONS {nt} {4 * nt}\n")
-            for t in mesh.triangles:
-                fh.write(f"3 {t[0]} {t[1]} {t[2]}\n")
+            np.savetxt(fh, mesh.triangles, fmt="3 %d %d %d")
             if arrays:
                 fh.write(f"POINT_DATA {n}\n")
                 for name, values in arrays.items():
                     fh.write(f"SCALARS {name} double 1\n")
                     fh.write("LOOKUP_TABLE default\n")
-                    for v in values:
-                        fh.write(f"{_fmt(v)}\n")
+                    np.savetxt(fh, values, fmt="%.17g")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
-
-
-def read_vtk(path):
-    """Minimal legacy-VTK POLYDATA reader used to round-trip snapshots.
-
-    Returns ``(points, triangles, arrays)`` with arrays keyed by name.
-    """
-    with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().split("\n")
-    i = 0
-
-    def next_line():
-        nonlocal i
-        while i < len(tokens) and not tokens[i].strip():
-            i += 1
-        line = tokens[i].strip()
-        i += 1
-        return line
-
-    header = next_line()
-    if not header.startswith("# vtk DataFile"):
-        raise IoError(f"{path} is not a legacy VTK file")
-    next_line()  # title
-    if next_line() != "ASCII":
-        raise IoError("only ASCII VTK is supported")
-    if next_line() != "DATASET POLYDATA":
-        raise IoError("only POLYDATA is supported")
-
-    kind, count, _ = next_line().split()
-    assert kind == "POINTS"
-    n = int(count)
-    points = np.array([next_line().split() for _ in range(n)], dtype=float)
-
-    kind, nt, _total = next_line().split()
-    assert kind == "POLYGONS"
-    tris = np.array([next_line().split()[1:] for _ in range(int(nt))], dtype=int)
-
-    arrays = {}
-    while i < len(tokens):
-        line = tokens[i].strip()
-        i += 1
-        if not line:
-            continue
-        if line.startswith("POINT_DATA"):
-            continue
-        if line.startswith("SCALARS"):
-            name = line.split()[1]
-            next_line()  # LOOKUP_TABLE
-            arrays[name] = np.array([next_line() for _ in range(n)], dtype=float)
-    return points, tris, arrays
 
 
 def write_diagnostics_csv(records, path):
     """Diagnostic trajectory as CSV, one row per recorded step."""
     try:
         with open(path, "w", encoding="ascii") as fh:
-            fh.write("step,time,energy,mass,area,h,newton_iters\n")
+            fh.write(",".join(DiagnosticRecord.CSV_COLUMNS) + "\n")
             for r in records:
                 fh.write(
                     f"{r.step},{_fmt(r.time)},{_fmt(r.energy)},{_fmt(r.mass)},"

@@ -14,6 +14,7 @@ finer meshes.
 import numpy as np
 import scipy.sparse as sp
 
+from .assembly import element_geometry
 from .errors import LengthMismatch, LevelOutOfRange, WrongSurfaceKind
 
 # golden-ratio icosahedron, consistently oriented with outward normals
@@ -46,13 +47,11 @@ class SurfaceMesh:
     triangles : (nt, 3) int array, read-only; shared between time levels
     surface : LevelSetSurface
     current_time : float
-    level : int
-        Refinement depth relative to the mesh it was refined from.
     parent_map : scipy.sparse.csr_matrix or None
         Prolongation from the mesh this one was refined from.
     """
 
-    def __init__(self, nodes, triangles, surface, current_time=0.0, level=0,
+    def __init__(self, nodes, triangles, surface, current_time=0.0,
                  parent_map=None):
         nodes = np.ascontiguousarray(nodes, dtype=float)
         triangles = np.ascontiguousarray(triangles, dtype=np.int64)
@@ -62,7 +61,6 @@ class SurfaceMesh:
         self.triangles = triangles
         self.surface = surface
         self.current_time = float(current_time)
-        self.level = int(level)
         self.parent_map = parent_map
         self._cache = {}
 
@@ -156,7 +154,7 @@ def refine(mesh):
     parent = sp.csr_matrix((vals, (rows, cols)), shape=(n + ne, n))
 
     return SurfaceMesh(nodes, fine, mesh.surface, mesh.current_time,
-                       level=mesh.level + 1, parent_map=parent)
+                       parent_map=parent)
 
 
 def advance_mesh(mesh, t1):
@@ -168,7 +166,7 @@ def advance_mesh(mesh, t1):
     else:
         nodes = mesh.surface.move(mesh.nodes, mesh.current_time, t1)
     out = SurfaceMesh(nodes, mesh.triangles, mesh.surface, t1,
-                      level=mesh.level, parent_map=mesh.parent_map)
+                      parent_map=mesh.parent_map)
     # connectivity-derived caches stay valid when only nodes move
     pattern = mesh._cache.get("pattern")
     if pattern is not None:
@@ -191,7 +189,7 @@ def triangle_areas(mesh):
 
 def surface_area(mesh):
     """Total area of the triangulated surface at the current time."""
-    return float(triangle_areas(mesh).sum())
+    return float(element_geometry(mesh)[0].sum())
 
 
 def mesh_quality(mesh):

@@ -26,15 +26,6 @@ def _orbit3(a):
     return np.array([[b, a, a], [a, b, a], [a, a, b]])
 
 
-def _rule_degree1():
-    return QuadratureRule(1, np.full((1, 3), 1.0 / 3.0), np.array([1.0]))
-
-
-def _rule_degree2():
-    # edge-midpoint rule
-    return QuadratureRule(2, _orbit3(0.5), np.full(3, 1.0 / 3.0))
-
-
 def _rule_degree4():
     # classic 6-point rule, two symmetric orbits, all weights positive
     a1, w1 = 0.445948490915965, 0.223381589678011
@@ -60,8 +51,6 @@ def _rule_degree10():
 
 
 _RULES = {
-    1: _rule_degree1(),
-    2: _rule_degree2(),
     4: _rule_degree4(),
     10: _rule_degree10(),
 }

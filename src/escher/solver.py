@@ -40,8 +40,8 @@ from .assembly import (
     element_geometry,
     quadrature_points_3d,
 )
-from .diagnostics import DiagnosticRecord, ginzburg_landau_energy
-from .errors import LengthMismatch, NewtonDivergence, ValidationError
+from .diagnostics import DiagnosticRecord, discrete_mass, ginzburg_landau_energy
+from .errors import EscherError, LengthMismatch, NewtonDivergence, ValidationError
 from .linalg import lu_factor, solve_mean_zero_spd, solve_sparse
 from .meshing import advance_mesh, mesh_size_h, surface_area
 from .quadrature import quadrature_rule
@@ -297,16 +297,16 @@ _STEPPERS = {FULLY_IMPLICIT: step_fully_implicit, IMEX: step_imex}
 def initial_data_interpolate(mesh, u0):
     """Lagrange interpolant: evaluate u0 at every node.
 
-    ``u0`` may be vectorised over an (N, 3) array of points or accept a
-    single point of shape (3,).
+    ``u0`` is called once on the (N, 3) array of node positions and must
+    return N values.
     """
-    try:
-        values = np.asarray(u0(mesh.nodes), dtype=float)
-        if values.shape == (mesh.node_count,):
-            return values
-    except Exception:
-        pass
-    return np.array([float(u0(x)) for x in mesh.nodes])
+    values = np.asarray(u0(mesh.nodes), dtype=float)
+    if values.shape != (mesh.node_count,):
+        raise LengthMismatch(
+            f"u0 returned shape {values.shape} on a mesh with "
+            f"{mesh.node_count} nodes"
+        )
+    return values
 
 
 def chemical_potential_for(mesh, alpha, cfg, pot):
@@ -359,7 +359,7 @@ def _record(mesh, state, cfg, pot):
         step=state.step,
         time=state.time,
         energy=ginzburg_landau_energy(mesh, state.alpha, pot, cfg.eps),
-        mass=float((assemble_operators(mesh).M @ state.alpha).sum()),
+        mass=discrete_mass(mesh, state.alpha),
         area=surface_area(mesh),
         h=mesh_size_h(mesh),
         newton_iters=state.newton_iters,
@@ -403,7 +403,7 @@ def run_simulation(cfg, mesh, alpha0, pot, *, snapshot_every=0):
         mesh_next = advance_mesh(mesh, t0 + n * cfg.tau)
         try:
             state = stepper(mesh, mesh_next, state, cfg, pot, context=context)
-        except Exception as exc:
+        except EscherError as exc:  # args hold one message by construction
             exc.args = (f"step {n} (t={t0 + n * cfg.tau:g}): {exc}",)
             raise
         mesh = mesh_next

@@ -9,7 +9,7 @@ axes and are pure functions of their inputs.
 Surfaces provided:
 
 * ``OscillatingSphere``  -- radius ``sqrt(base + amplitude*cos(omega*t))``
-* ``StaticSphere``       -- fixed radius, zero velocity
+* ``StaticSphere``       -- fixed radius
 * ``ConstantAreaTorus``  -- major radius grows, minor shrinks, area constant
 * ``PeriodicTorus``      -- fixed major radius, minor radius oscillates
 """
@@ -47,10 +47,6 @@ class LevelSetSurface:
 
     def move(self, x0, t0, t1):
         """Exact motion of surface points from time t0 to t1."""
-        raise NotImplementedError
-
-    def velocity(self, x, t):
-        """Material velocity of surface points, d/ds move(x, t, s) at s=t."""
         raise NotImplementedError
 
     def project(self, x, t, tol=PROJECTION_TOL, max_iter=PROJECTION_MAX_ITER):
@@ -131,13 +127,6 @@ class OscillatingSphere(_SphereBase):
     def _radius_sq(self, t):
         return self.base + self.amplitude * np.cos(self.omega * t)
 
-    def velocity(self, x, t):
-        x = np.asarray(x, dtype=float)
-        self._require_on_surface(x, t)
-        # d/dt sqrt(r2(t1)/r2(t)) at t1 = t equals r2'(t) / (2 r2(t))
-        dr2 = -self.amplitude * self.omega * np.sin(self.omega * t)
-        return x * (0.5 * dr2 / self._radius_sq(t))
-
 
 class StaticSphere(_SphereBase):
     """Stationary sphere; the gradient-flow baseline for energy decay."""
@@ -157,11 +146,6 @@ class StaticSphere(_SphereBase):
         self._require_on_surface(x0, t0)
         return x0.copy()
 
-    def velocity(self, x, t):
-        x = np.asarray(x, dtype=float)
-        self._require_on_surface(x, t)
-        return np.zeros_like(x)
-
 
 class _TorusBase(LevelSetSurface):
     """Torus around the z axis: phi = (sqrt(x^2+y^2) - R(t))^2 + z^2 - r(t)^2."""
@@ -170,10 +154,6 @@ class _TorusBase(LevelSetSurface):
 
     def _radii(self, t):
         """Return (R(t), r(t))."""
-        raise NotImplementedError
-
-    def _radii_rates(self, t):
-        """Return (R'(t), r'(t))."""
         raise NotImplementedError
 
     def value(self, x, t):
@@ -217,17 +197,6 @@ class _TorusBase(LevelSetSurface):
         theta, psi = self._angles(x0, t0)
         return self._emit(theta, psi, t1)
 
-    def velocity(self, x, t):
-        x = np.asarray(x, dtype=float)
-        self._require_on_surface(x, t)
-        theta, psi = self._angles(x, t)
-        dmajor, dminor = self._radii_rates(t)
-        drho = dmajor + dminor * np.cos(psi)
-        return np.stack(
-            [drho * np.cos(theta), drho * np.sin(theta), dminor * np.sin(psi)],
-            axis=-1,
-        )
-
 
 class ConstantAreaTorus(_TorusBase):
     """Torus with R(t) = major*(1 + rate*t), r(t) = minor/(1 + rate*t).
@@ -247,10 +216,6 @@ class ConstantAreaTorus(_TorusBase):
         s = 1.0 + self.rate * t
         return self.major * s, self.minor / s
 
-    def _radii_rates(self, t):
-        s = 1.0 + self.rate * t
-        return self.major * self.rate, -self.minor * self.rate / s**2
-
 
 class PeriodicTorus(_TorusBase):
     """Torus with fixed major radius and r(t) = minor + amplitude*sin(omega*t)."""
@@ -267,9 +232,6 @@ class PeriodicTorus(_TorusBase):
 
     def _radii(self, t):
         return self.major, self.minor + self.amplitude * np.sin(self.omega * t)
-
-    def _radii_rates(self, t):
-        return 0.0, self.amplitude * self.omega * np.cos(self.omega * t)
 
 
 _SURFACE_KINDS = {

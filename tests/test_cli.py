@@ -3,7 +3,7 @@
 import numpy as np
 
 from escher.cli import main
-from escher.io import read_vtk
+from vtk_reader import read_snapshot
 
 SMOKE_RUN = """
 surface.kind = static_sphere
@@ -63,7 +63,7 @@ def test_run_writes_snapshots(tmp_path):
     files = sorted(p.name for p in out.glob("*.vtk"))
     assert files == ["snapshot_000000.vtk", "snapshot_000005.vtk",
                      "snapshot_000010.vtk"]
-    points, tris, arrays = read_vtk(out / "snapshot_000010.vtk")
+    points, tris, arrays = read_snapshot(out / "snapshot_000010.vtk")
     assert set(arrays) == {"u", "w"}
     assert len(points) == 42 and len(tris) == 80
 

@@ -94,6 +94,13 @@ def test_non_finite_values_rejected(key, value):
     assert err.value.field == key
 
 
+@pytest.mark.parametrize("key", ["mesh.n_major", "mesh.n_minor"])
+def test_torus_grid_names_the_short_axis(key):
+    with pytest.raises(ValidationError) as err:
+        parse_config(MINIMAL_SPHERE + f"{key} = 2\n")
+    assert err.value.field == key
+
+
 def test_missing_equals_sign():
     with pytest.raises(ParseError):
         parse_config("surface.kind oscillating_sphere\n")

@@ -6,9 +6,10 @@ import pytest
 
 from escher.diagnostics import DiagnosticRecord, eoc
 from escher.errors import IoError
-from escher.io import read_vtk, write_diagnostics_csv, write_eoc_csv, write_vtk
+from escher.io import write_diagnostics_csv, write_eoc_csv, write_vtk
 from escher.meshing import build_icosphere
 from escher.surfaces import StaticSphere
+from vtk_reader import read_snapshot
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +33,7 @@ def test_vtk_round_trip(mesh, tmp_path):
     arrays = {"u": rng.normal(size=12), "w": rng.normal(size=12)}
     path = tmp_path / "snap.vtk"
     write_vtk(mesh, arrays, path)
-    points, tris, back = read_vtk(path)
+    points, tris, back = read_snapshot(path)
     npt.assert_array_equal(points, mesh.nodes)       # 17 digits round-trip
     npt.assert_array_equal(tris, mesh.triangles)
     for name in arrays:
@@ -42,7 +43,7 @@ def test_vtk_round_trip(mesh, tmp_path):
 def test_vtk_geometry_only(mesh, tmp_path):
     path = tmp_path / "geom.vtk"
     write_vtk(mesh, {}, path)
-    _, _, arrays = read_vtk(path)
+    _, _, arrays = read_snapshot(path)
     assert arrays == {}
     assert "POINT_DATA" not in path.read_text()
 

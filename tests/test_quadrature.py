@@ -24,7 +24,7 @@ def rule_monomial(rule, a, b):
     return 0.5 * float(rule.weights @ (x**a * y**b))
 
 
-@pytest.mark.parametrize("degree", [1, 2, 4, 10])
+@pytest.mark.parametrize("degree", [4, 10])
 def test_rule_well_formed(degree):
     rule = quadrature_rule(degree)
     assert np.all(rule.weights > 0)
@@ -33,12 +33,12 @@ def test_rule_well_formed(degree):
     assert np.all(rule.points >= -1e-14)
 
 
-@pytest.mark.parametrize("degree", [1, 2, 4, 10])
+@pytest.mark.parametrize("degree", [4, 10])
 def test_constant_integrates_to_half(degree):
     assert rule_monomial(quadrature_rule(degree), 0, 0) == pytest.approx(0.5, abs=1e-15)
 
 
-@pytest.mark.parametrize("degree", [1, 2, 4, 10])
+@pytest.mark.parametrize("degree", [4, 10])
 def test_exact_up_to_declared_degree(degree):
     rule = quadrature_rule(degree)
     for a in range(degree + 1):

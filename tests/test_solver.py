@@ -15,6 +15,7 @@ from escher.config import sphere_eoc_initial
 from escher.diagnostics import l2_error
 from escher.errors import (
     IncompatibleRHS,
+    LengthMismatch,
     NewtonDivergence,
     SingularMatrix,
     ValidationError,
@@ -292,6 +293,49 @@ class TestRunSimulation:
         alpha = initial_data_interpolate(sphere_mesh, sphere_eoc_initial)
         result = run_simulation(cfg, sphere_mesh, alpha, pot, snapshot_every=5)
         assert [s.step for _, s in result.snapshots] == [0, 5, 10]
+
+    def test_foreign_error_keeps_its_args(self, sphere_mesh, pot):
+        def d2f1(u):
+            raise KeyError("u")
+
+        cfg = SchemeConfig(eps=0.05, tau=1e-4, t_end=1e-3, scheme="imex")
+        alpha = initial_data_interpolate(sphere_mesh, sphere_eoc_initial)
+        with pytest.raises(KeyError) as err:
+            run_simulation(cfg, sphere_mesh, alpha, replace(pot, d2f1=d2f1))
+        assert err.value.args == ("u",)
+
+    def test_package_error_names_the_step(self, sphere_mesh, pot):
+        cfg = SchemeConfig(eps=0.05, tau=1e-4, t_end=1e-3, scheme="imex",
+                           newton_max_iter=1)
+        alpha = initial_data_interpolate(sphere_mesh, sphere_eoc_initial)
+        with pytest.raises(NewtonDivergence) as err:
+            run_simulation(cfg, sphere_mesh, alpha, pot)
+        assert str(err.value).startswith("step 1 (t=")
+
+
+class TestInitialData:
+    def test_column_shaped_values_rejected(self, sphere_mesh):
+        calls = []
+
+        def u0(x):
+            calls.append(x.shape)
+            return x[:, :1]
+
+        with pytest.raises(LengthMismatch):
+            initial_data_interpolate(sphere_mesh, u0)
+        assert calls == [(sphere_mesh.node_count, 3)]
+
+    def test_user_error_propagates_after_one_call(self, sphere_mesh):
+        calls = []
+
+        def u0(x):
+            calls.append(x.shape)
+            raise ValueError("bad u0")
+
+        with pytest.raises(ValueError) as err:
+            initial_data_interpolate(sphere_mesh, u0)
+        assert err.value.args == ("bad u0",)
+        assert calls == [(sphere_mesh.node_count, 3)]
 
 
 class TestRitzProjection:

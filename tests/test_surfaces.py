@@ -169,26 +169,6 @@ class TestMoveNode:
         npt.assert_allclose(via, direct, atol=1e-10)
 
 
-class TestVelocity:
-    def test_static_sphere_zero(self):
-        s = StaticSphere()
-        x = random_surface_points(s, 6, 0.0, seed=40)
-        npt.assert_allclose(s.velocity(x, 0.123), np.zeros_like(x))
-
-    def test_oscillating_sphere_zero_at_t0(self):
-        v = OscillatingSphere().velocity(np.array([1.0, 0.0, 0.0]), 0.0)
-        npt.assert_allclose(v, [0, 0, 0], atol=1e-12)
-
-    @pytest.mark.parametrize("surface", ALL_KINDS, ids=lambda s: s.kind)
-    def test_matches_finite_differences_of_motion(self, surface):
-        t = 0.21
-        x = random_surface_points(surface, 50, t, seed=41)
-        v = surface.velocity(x, t)
-        d = 1e-6
-        fd = (surface.move(x, t, t + d) - surface.move(x, t, t - d)) / (2 * d)
-        npt.assert_allclose(v, fd, rtol=1e-6, atol=1e-7)
-
-
 def test_factory_round_trip():
     assert set(surface_kinds()) == {
         "oscillating_sphere", "static_sphere", "constant_area_torus",
