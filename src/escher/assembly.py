@@ -10,7 +10,8 @@ Everything is vectorised over triangles.  The scatter from element entries
 to CSR storage is precomputed once per connectivity and cached on the mesh,
 which makes repeated assembly inside Newton iterations cheap; summation
 order is fixed by triangle index, so assembled values are reproducible
-bit for bit.
+bit for bit.  The pattern also carries the fill-reducing layout of the
+2N x 2N Newton matrix (``BlockLayout``).
 """
 
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ from .quadrature import quadrature_rule
 
 DEGENERACY_TOL = 1e-14
 NONLINEAR_QUAD_DEGREE = 4  # exact for the quartic well composed with P1
+ND_LEAF_SIZE = 16  # nested dissection leaves parts this small unsplit
 
 
 class _Pattern:
@@ -38,13 +40,13 @@ class _Pattern:
         fresh[1:] = (sr[1:] != sr[:-1]) | (sc[1:] != sc[:-1])
         group = np.cumsum(fresh) - 1
         self.nnz = int(group[-1]) + 1
-        self.indices = sc[fresh]
-        self.indptr = np.zeros(node_count + 1, dtype=self.indices.dtype)
-        np.add.at(self.indptr, sr[fresh] + 1, 1)
-        self.indptr = np.cumsum(self.indptr)
+        self.rows, self.indices = sr[fresh], sc[fresh]
+        self.indptr = np.r_[0, np.cumsum(np.bincount(self.rows,
+                                                     minlength=node_count))]
         self.slots = np.empty_like(group)
         self.slots[order] = group
         self.shape = (node_count, node_count)
+        self.layout = None  # BlockLayout, built on first use
 
     def assemble(self, element_values):
         """Sum (nt, 3, 3) element matrices into a CSR matrix."""
@@ -53,12 +55,78 @@ class _Pattern:
         return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 
+def _nested_dissection(nodes, rows, cols):
+    """Nodes in geometric nested-dissection order, ``rows``/``cols`` being
+    the adjacency: level by level, every part of over ``ND_LEAF_SIZE`` nodes
+    splits at the median of its widest coordinate, and its lower-half nodes
+    with an upper-half neighbour form a separator ranked after both halves."""
+    n = len(nodes)
+    part = np.zeros(n, dtype=np.int64)
+    live = np.arange(n)  # nodes in neither a leaf nor a separator yet
+    digits = []          # per level: 0 lower half, 1 upper half, 2 separator
+    while True:
+        live = live[np.bincount(part[live])[part[live]] > ND_LEAF_SIZE]
+        if len(live) == 0:
+            return np.lexsort(digits[::-1]) if digits else np.arange(n)
+        live = live[np.argsort(part[live], kind="stable")]
+        starts = np.flatnonzero(np.diff(part[live], prepend=-1))
+        sizes = np.diff(starts, append=len(live))
+        seg = np.repeat(np.arange(len(starts)), sizes)
+        pts = nodes[live]
+        extent = np.maximum.reduceat(pts, starts) - np.minimum.reduceat(pts, starts)
+        x = pts[np.arange(len(live)), extent.argmax(axis=1)[seg]]
+        rank = np.empty_like(seg)
+        rank[np.lexsort((x, seg))] = np.arange(len(live)) - np.repeat(starts, sizes)
+        part = np.full(n, -1)  # halves of part k become parts 2k and 2k+1
+        part[live] = 2 * seg + (rank >= (sizes // 2)[seg])
+        cut = (part[rows] % 2 == 0) & (part[cols] == part[rows] + 1)
+        digit = (part % 2).astype(np.int8)
+        digit[rows[cut]] = 2
+        digits.append(digit)
+        live = live[digit[live] != 2]
+
+
+class BlockLayout:
+    """CSC storage of the Newton matrix ``[[M, tau A], [B - J/eps, M]]`` in
+    an order for sparse LU with little fill and no row interchanges: nodes
+    by nested-dissection rank, each as (beta_i, alpha_i), so every diagonal
+    pivot is a mass entry.  ``order`` lists the unknowns (alpha 0..N-1, beta
+    N..2N-1) in that order; ``gather`` picks the CSC values from the blocks'
+    data on the shared pattern, concatenated as M, tau A, B - J/eps, M."""
+
+    def __init__(self, pattern, nodes):
+        n, rows, cols = pattern.shape[0], pattern.rows, pattern.indices
+        perm = _nested_dissection(nodes, rows, cols)
+        self.order = np.column_stack([perm + n, perm]).ravel()
+        rank = np.argsort(self.order)
+        r = rank[np.concatenate([rows, rows, rows + n, rows + n])]
+        c = rank[np.concatenate([cols, cols + n, cols, cols + n])]
+        self.gather = np.lexsort((r, c))
+        self.indices = r[self.gather].astype(np.int32)
+        self.indptr = np.r_[0, np.cumsum(np.bincount(c, minlength=2 * n))]
+        self.indptr = self.indptr.astype(np.int32)
+
+    def matrix(self, blocks):
+        """The block matrix from the four blocks' data arrays."""
+        assert all(4 * len(data) == len(self.gather) for data in blocks)
+        return sp.csc_matrix((np.concatenate(blocks)[self.gather], self.indices,
+                              self.indptr), shape=(len(self.order),) * 2)
+
+
 def _pattern(mesh):
     pat = mesh._cache.get("pattern")
     if pat is None:
         pat = _Pattern(mesh.triangles, mesh.node_count)
         mesh._cache["pattern"] = pat
     return pat
+
+
+def block_layout(mesh):
+    """The mesh connectivity's BlockLayout, built on first use from its nodes."""
+    pat = _pattern(mesh)
+    if pat.layout is None:
+        pat.layout = BlockLayout(pat, mesh.nodes)
+    return pat.layout
 
 
 def element_geometry(mesh):

@@ -7,17 +7,26 @@ import scipy.sparse.linalg as spla
 from .errors import IncompatibleRHS, IterativeBreakdown, SingularMatrix
 
 
-def lu_factor(A):
-    """Sparse LU with partial pivoting; raises SingularMatrix on failure."""
+DIAG_PIVOT_THRESH = 1e-3  # least |diagonal| / column max taken as the pivot
+
+
+def _splu(A, **options):
     try:
-        return spla.splu(sp.csc_matrix(A))
+        return spla.splu(sp.csc_matrix(A), **options)
     except RuntimeError as exc:
         raise SingularMatrix(str(exc)) from exc
 
 
+def lu_factor(A):
+    """Sparse LU in the given order with threshold diagonal pivoting, for a
+    matrix laid out by ``assembly.BlockLayout``; raises SingularMatrix."""
+    return _splu(A, permc_spec="NATURAL", diag_pivot_thresh=DIAG_PIVOT_THRESH,
+                 options={"SymmetricMode": True})
+
+
 def solve_sparse(A, b):
-    """Solve a square nonsingular sparse system by sparse LU."""
-    return lu_factor(A).solve(np.asarray(b, dtype=float))
+    """Solve a sparse system by LU with COLAMD order and partial pivoting."""
+    return _splu(A).solve(np.asarray(b, dtype=float))
 
 
 def solve_mean_zero_spd(A, b, M, rtol=1e-12):

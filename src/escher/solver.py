@@ -16,10 +16,10 @@ one step solves the 2N x 2N block system
                                        -(theta/eps) M_prev alpha_prev)
 
 by Newton's method with the exact Jacobian.  Every linearisation is solved
-through one sparse LU factorisation, kept across iterations and timesteps
-as a BiCGStab preconditioner and refreshed when it goes stale.  Testing the
-first block row with constants shows the mass ``1^T M alpha`` is conserved
-step to step by construction.
+through one sparse LU factorisation in the fill-reducing order of
+``assembly.BlockLayout``, kept across iterations and timesteps as a BiCGStab
+preconditioner and refreshed when it goes stale.  Testing the first block
+row with constants shows ``1^T M alpha`` is conserved by construction.
 
 The fully implicit solution is unique only for ``tau < 4 eps^3 / theta^2``;
 a violation triggers a warning, not an error, since the scheme may still
@@ -37,6 +37,7 @@ from .assembly import (
     assemble_nonlinear_jacobian,
     assemble_nonlinear_load,
     assemble_operators,
+    block_layout,
     element_geometry,
     quadrature_points_3d,
 )
@@ -116,12 +117,13 @@ def _check_state(mesh, state):
 class LinearContext:
     """Linear solves for Newton iterations, reusable across timesteps.
 
-    The first system is factored by sparse LU.  Later systems are solved
-    by BiCGStab preconditioned with that factorisation: consecutive
-    Jacobians differ little, so a few iterations reach ``RTOL``.  When
-    BiCGStab fails the system is factored afresh and solved exactly; when
-    it needs more than half of ``REUSE_MAX_ITER`` iterations the answer is
-    kept but the next system is factored afresh.
+    The first system is factored by ``lu_factor`` in its given order and
+    solved with one step of iterative refinement, which makes up for the
+    threshold pivoting.  Later systems are solved by BiCGStab preconditioned
+    with that factorisation: consecutive Jacobians differ little, so a few
+    iterations reach ``RTOL``.  When BiCGStab fails the system is factored
+    afresh and solved as the first; when it needs more than half of
+    ``REUSE_MAX_ITER`` iterations the next system is factored afresh.
     """
 
     # inner Krylov tolerance: inexact Newton directions are fine because the
@@ -150,14 +152,16 @@ class LinearContext:
                     self._factor = None  # getting stale, refactor next time
                 return x
         self._factor = lu_factor(matrix)
-        return self._factor.solve(b)
+        x = self._factor.solve(b)
+        return x + self._factor.solve(b - matrix @ x)
 
 
-def _newton(ops, rhs1, rhs2, b_matrix, state, cfg, pot, mesh_next,
+def _newton(ops, rhs1, rhs2, b_data, state, cfg, pot, mesh_next,
             initial_guess=None, context=None):
     """Solve the block system by Newton; returns the state at the new time.
 
-    ``b_matrix`` is the (2,1) block of the linear part; the residual is
+    ``b_data`` holds the (2,1) block B of the linear part on the pattern of
+    M and A; the residual is
 
         G1 = M a + tau A b - rhs1
         G2 = B a + M b - (1/eps) F(a) - rhs2
@@ -170,6 +174,8 @@ def _newton(ops, rhs1, rhs2, b_matrix, state, cfg, pot, mesh_next,
     """
     M, A = ops.M, ops.A
     tau, eps = cfg.tau, cfg.eps
+    layout = block_layout(mesh_next)
+    b_matrix = sp.csr_matrix((b_data, M.indices, M.indptr), shape=M.shape)
     if context is None:
         context = LinearContext()
 
@@ -186,8 +192,8 @@ def _newton(ops, rhs1, rhs2, b_matrix, state, cfg, pot, mesh_next,
 
     def jacobian(a):
         jac_f = assemble_nonlinear_jacobian(mesh_next, a, pot)
-        return sp.bmat([[M, tau * A], [b_matrix - jac_f / eps, M]],
-                       format="csc")
+        return layout.matrix((M.data, tau * A.data,
+                              b_data - jac_f.data / eps, M.data))
 
     def iterate(damped):
         alpha, beta = (v.copy() for v in guess)
@@ -200,7 +206,9 @@ def _newton(ops, rhs1, rhs2, b_matrix, state, cfg, pot, mesh_next,
                                   step=state.step + 1,
                                   newton_iters=iteration - 1,
                                   residual_history=tuple(history))
-            delta = context.solve(jacobian(alpha), -np.concatenate([g1, g2]))
+            delta = np.empty(2 * ops.node_count)
+            delta[layout.order] = context.solve(
+                jacobian(alpha), -np.concatenate([g1, g2])[layout.order])
             da, db = delta[: ops.node_count], delta[ops.node_count:]
             if damped:
                 lam, accepted = 1.0, None
@@ -251,9 +259,9 @@ def step_fully_implicit(mesh_prev, mesh_next, state, cfg, pot,
     ops = assemble_operators(mesh_next)
     rhs1 = ops_prev.M @ state.alpha
     rhs2 = np.zeros_like(rhs1)
-    b_matrix = (-cfg.eps) * ops.A + (pot.theta / cfg.eps) * ops.M
+    b_data = (-cfg.eps) * ops.A.data + (pot.theta / cfg.eps) * ops.M.data
     try:
-        return _newton(ops, rhs1, rhs2, b_matrix, state, cfg, pot, mesh_next,
+        return _newton(ops, rhs1, rhs2, b_data, state, cfg, pot, mesh_next,
                        initial_guess=initial_guess, context=context)
     except NewtonDivergence:
         if initial_guess is not None:
@@ -261,7 +269,7 @@ def step_fully_implicit(mesh_prev, mesh_next, state, cfg, pot,
     try:
         warm = step_imex(mesh_prev, mesh_next, state, cfg, pot,
                          context=context)
-        return _newton(ops, rhs1, rhs2, b_matrix, state, cfg, pot, mesh_next,
+        return _newton(ops, rhs1, rhs2, b_data, state, cfg, pot, mesh_next,
                        initial_guess=(warm.alpha, warm.beta), context=context)
     except NewtonDivergence:
         if _depth >= 8:
@@ -273,7 +281,7 @@ def step_fully_implicit(mesh_prev, mesh_next, state, cfg, pot,
                                 context=context, _depth=_depth + 1)
     second = step_fully_implicit(mesh_mid, mesh_next, first, half_cfg, pot,
                                  context=context, _depth=_depth + 1)
-    return _newton(ops, rhs1, rhs2, b_matrix, state, cfg, pot, mesh_next,
+    return _newton(ops, rhs1, rhs2, b_data, state, cfg, pot, mesh_next,
                    initial_guess=(second.alpha, second.beta), context=context)
 
 
@@ -286,8 +294,8 @@ def step_imex(mesh_prev, mesh_next, state, cfg, pot, initial_guess=None,
     ops = assemble_operators(mesh_next)
     m_alpha = ops_prev.M @ state.alpha
     rhs2 = (-pot.theta / cfg.eps) * m_alpha
-    b_matrix = (-cfg.eps) * ops.A
-    return _newton(ops, m_alpha, rhs2, b_matrix, state, cfg, pot, mesh_next,
+    b_data = (-cfg.eps) * ops.A.data
+    return _newton(ops, m_alpha, rhs2, b_data, state, cfg, pot, mesh_next,
                    initial_guess=initial_guess, context=context)
 
 

@@ -12,6 +12,7 @@ squared mesh size across levels so the first-order time error refines at
 the same rate as the spatial error.
 """
 
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -59,9 +60,13 @@ def compute_reference(cfg, surface, pot, u0, base_subdivisions, levels):
     hierarchy = MeshHierarchy.build(base, levels)
     ref_cfg = replace(cfg, scheme=FULLY_IMPLICIT)
     tau_ref = _level_tau(ref_cfg, levels)
-    alpha, beta, mesh_final = _run_level(
-        ref_cfg, hierarchy.levels[levels], u0, pot, tau_ref
-    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        alpha, beta, mesh_final = _run_level(ref_cfg, hierarchy.levels[levels],
+                                             u0, pot, tau_ref)
+    for w in caught:  # the reference is fully implicit whatever the scheme
+        warnings.warn(f"EOC reference solve at tau = {tau_ref:g}: {w.message}",
+                      w.category, stacklevel=2)
     return ReferenceSolution(hierarchy=hierarchy, level=levels,
                              mesh_final=mesh_final, alpha=alpha, beta=beta,
                              tau=tau_ref)

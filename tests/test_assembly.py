@@ -1,10 +1,11 @@
 """Assembly tests: closed-form element matrices, partition of unity,
-spectral structure, and over-integration / finite-difference oracles for
-the nonlinear terms."""
+spectral structure, over-integration / finite-difference oracles for the
+nonlinear terms, and the layout of the Newton block matrix."""
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 
 from escher.assembly import (
     assemble_mass,
@@ -12,12 +13,20 @@ from escher.assembly import (
     assemble_nonlinear_load,
     assemble_operators,
     assemble_stiffness,
+    block_layout,
     integrate_composed,
 )
 from escher.errors import DegenerateTriangle
-from escher.meshing import SurfaceMesh, advance_mesh, build_icosphere, surface_area
+from escher.meshing import (
+    SurfaceMesh,
+    advance_mesh,
+    build_icosphere,
+    build_torus_mesh,
+    refine,
+    surface_area,
+)
 from escher.potentials import quartic_potential
-from escher.surfaces import OscillatingSphere, StaticSphere
+from escher.surfaces import ConstantAreaTorus, OscillatingSphere, StaticSphere
 
 
 def single_triangle(p0, p1, p2):
@@ -173,6 +182,56 @@ class TestGeometryOnly:
         mesh = single_triangle([0, 0, 0], [1, 0, 0], [2, 0, 0])
         with pytest.raises(DegenerateTriangle):
             assemble_mass(mesh)
+
+
+class TestBlockLayout:
+    """The Newton block matrix gathered straight into factor order."""
+
+    MESHES = {
+        "sphere": lambda: build_icosphere(OscillatingSphere(), 2),
+        "torus": lambda: build_torus_mesh(ConstantAreaTorus(), 24, 8),
+    }
+
+    @pytest.mark.parametrize("theta", [1.0, 0.0], ids=["fully_implicit", "imex"])
+    @pytest.mark.parametrize("kind", sorted(MESHES))
+    def test_gather_equals_permuted_block_matrix(self, kind, theta, pot):
+        mesh = self.MESHES[kind]()
+        eps, tau = 0.05, 1e-4
+        ops = assemble_operators(mesh)
+        alpha = np.random.default_rng(5).uniform(-1, 1, mesh.node_count)
+        J = assemble_nonlinear_jacobian(mesh, alpha, pot)
+        b = (-eps) * ops.A.data + (theta / eps) * ops.M.data
+        layout = block_layout(mesh)
+        gathered = layout.matrix((ops.M.data, tau * ops.A.data,
+                                  b - J.data / eps, ops.M.data))
+        B = sp.csr_matrix((b, ops.A.indices, ops.A.indptr), shape=ops.A.shape)
+        dense = np.block([[ops.M.toarray(), tau * ops.A.toarray()],
+                          [B.toarray() - J.toarray() / eps, ops.M.toarray()]])
+        npt.assert_array_equal(gathered.toarray(),
+                               dense[np.ix_(layout.order, layout.order)])
+        assert gathered.nnz == 4 * len(ops.M.data)
+
+    @pytest.mark.parametrize("kind", sorted(MESHES))
+    def test_order_is_a_permutation_of_node_pairs(self, kind):
+        mesh = self.MESHES[kind]()
+        n = mesh.node_count
+        order = block_layout(mesh).order
+        npt.assert_array_equal(np.sort(order), np.arange(2 * n))
+        npt.assert_array_equal(order[0::2], order[1::2] + n)  # beta first
+
+    def test_data_off_the_pattern_rejected(self, icosphere):
+        ops = assemble_operators(icosphere)
+        with pytest.raises(AssertionError):
+            block_layout(icosphere).matrix((ops.M.data, ops.A.data,
+                                            ops.M.data[:-1], ops.M.data))
+
+    def test_advanced_mesh_shares_the_layout_refined_mesh_does_not(self):
+        mesh = build_icosphere(OscillatingSphere(), 1)
+        layout = block_layout(mesh)
+        assert block_layout(advance_mesh(mesh, 0.01)) is layout
+        finer = refine(mesh)
+        assert block_layout(finer) is not layout
+        assert len(block_layout(finer).order) == 2 * finer.node_count
 
 
 def test_integrate_composed_constant(icosphere):

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import numpy as np
+import pytest
 
 from escher.cli import main
 from vtk_reader import read_snapshot
@@ -25,6 +26,20 @@ tau = 5e-3
 T = 0.1
 scheme = imex
 initial = torus
+output.dir = {out}
+"""
+
+# the study is IMEX, but its fully implicit reference runs at tau = 0.0015625,
+# above the uniqueness bound 4 eps^3 / theta^2 = 0.0005
+EOC_SMOKE = """
+surface.kind = oscillating_sphere
+mesh.subdivisions = 1
+eps = 0.05
+tau = 2.5e-2
+T = 0.1
+scheme = imex
+initial = sphere_eoc
+newton.max_iter = 60
 output.dir = {out}
 """
 
@@ -127,20 +142,16 @@ output.dir = {out}
 
 
 def test_eoc_smoke(tmp_path, capsys):
-    text = """
-surface.kind = oscillating_sphere
-mesh.subdivisions = 1
-eps = 0.05
-tau = 2.5e-2
-T = 0.1
-scheme = imex
-initial = sphere_eoc
-newton.max_iter = 60
-output.dir = {out}
-"""
-    cfg, out = write_config(tmp_path, text)
+    cfg, out = write_config(tmp_path, EOC_SMOKE)
     assert main(["eoc", str(cfg), "--levels", "2"]) == 0
     for name in ("eoc_u.csv", "eoc_w.csv"):
         lines = (out / name).read_text().strip().splitlines()
         assert lines[0] == "h,error,eoc"
         assert len(lines) == 3  # two levels
+
+
+def test_eoc_reference_warning_names_the_reference(tmp_path):
+    cfg, _ = write_config(tmp_path, EOC_SMOKE)
+    with pytest.warns(RuntimeWarning, match="EOC reference solve at "
+                                            "tau = 0.0015625: .*multiple"):
+        assert main(["eoc", str(cfg), "--levels", "2"]) == 0

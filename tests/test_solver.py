@@ -8,9 +8,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from escher import solver
-from escher.assembly import assemble_operators
+from escher.assembly import (
+    assemble_nonlinear_jacobian,
+    assemble_operators,
+    block_layout,
+)
 from escher.config import sphere_eoc_initial
 from escher.diagnostics import l2_error
 from escher.errors import (
@@ -71,8 +76,8 @@ class TestSolveSparse:
 
 
 class TestLinearContext:
-    """The Newton linear solver: one LU factor reused as a BiCGStab
-    preconditioner until it goes stale."""
+    """The Newton linear solver: one LU factor in the block layout's order,
+    reused as a BiCGStab preconditioner until it goes stale."""
 
     @pytest.fixture
     def factor_calls(self, monkeypatch):
@@ -86,11 +91,25 @@ class TestLinearContext:
         return calls
 
     @staticmethod
-    def block(mesh, tau, eps=0.05, theta=1.0):
+    def block(mesh, tau, eps=0.05, theta=1.0, jac=None):
+        """The Newton matrix as ``_newton`` builds it; ``jac`` is the
+        nonlinear Jacobian (none: the linear part alone)."""
         ops = assemble_operators(mesh)
-        return sp.bmat([[ops.M, tau * ops.A],
-                        [-eps * ops.A + (theta / eps) * ops.M, ops.M]],
-                       format="csc")
+        b = -eps * ops.A.data + (theta / eps) * ops.M.data
+        if jac is not None:
+            b = b - jac.data / eps
+        return block_layout(mesh).matrix((ops.M.data, tau * ops.A.data, b,
+                                          ops.M.data))
+
+    @pytest.fixture(scope="class")
+    def reference_newton_matrix(self, pot):
+        """Fully implicit Newton matrix of the subdivision-3 sphere at eps=5
+        and the acceptance reference's tau: pivoting alpha first here takes
+        hundreds of row interchanges and fills more than COLAMD."""
+        mesh = build_icosphere(OscillatingSphere(), 3)
+        alpha = initial_data_interpolate(mesh, sphere_eoc_initial)
+        jac = assemble_nonlinear_jacobian(mesh, alpha, pot)
+        return self.block(mesh, 0.1 / 768, eps=5.0, jac=jac)
 
     @staticmethod
     def relative_residual(matrix, x, b):
@@ -119,6 +138,20 @@ class TestLinearContext:
         A = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(SingularMatrix):
             LinearContext().solve(A, np.array([1.0, 0.0]))
+
+    def test_newton_matrix_factors_without_interchanges(
+            self, reference_newton_matrix):
+        matrix = reference_newton_matrix
+        assert matrix.shape == (2 * 642, 2 * 642)
+        factor = lu_factor(matrix)
+        npt.assert_array_equal(factor.perm_r, np.arange(matrix.shape[0]))
+        assert factor.nnz < spla.splu(matrix, permc_spec="COLAMD").nnz
+
+    def test_fresh_factor_solve_is_accurate(self, reference_newton_matrix):
+        matrix = reference_newton_matrix
+        b = np.random.default_rng(6).normal(size=matrix.shape[0])
+        x = LinearContext().solve(matrix, b)
+        assert self.relative_residual(matrix, x, b) <= 1e-13
 
 
 class TestSolveMeanZero:
