@@ -16,7 +16,7 @@ from .assembly import (
     assemble_stiffness,
     integrate_composed,
 )
-from .config import RunConfig, emit_config, load_config, parse_config
+from .config import RunConfig, emit_config, parse_config
 from .diagnostics import (
     DiagnosticRecord,
     EocTable,
@@ -44,7 +44,7 @@ from .meshing import (
     surface_area,
     validate_mesh,
 )
-from .potentials import Potential, make_potential, quartic_potential
+from .potentials import Potential, quartic_potential
 from .quadrature import QuadratureRule, quadrature_rule
 from .solver import (
     FULLY_IMPLICIT,

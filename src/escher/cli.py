@@ -5,7 +5,7 @@ Subcommands::
     escher run <config>                  time-step a configuration, write
                                          diagnostics.csv and VTK snapshots
     escher eoc <config> --levels N       mesh-refinement study on a sphere,
-                [--imex]                 write eoc_u.csv / eoc_w.csv
+                                         write eoc_u.csv / eoc_w.csv
     escher mesh-info <config>            print mesh statistics and exit
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure.
@@ -13,14 +13,13 @@ Exit codes: 0 success, 2 configuration error, 3 solver failure.
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .config import parse_config
 from .errors import EscherError, ParseError, ValidationError, WrongSurfaceKind
 from .io import write_diagnostics_csv, write_eoc_csv, write_vtk
 from .meshing import mesh_quality, mesh_size_h, surface_area
-from .solver import IMEX, initial_data_interpolate, run_simulation
+from .solver import initial_data_interpolate, run_simulation
 from .studies import eoc_study
 
 EXIT_OK = 0
@@ -41,8 +40,6 @@ def _build_parser():
     p_eoc = sub.add_parser("eoc", help="mesh-refinement convergence study")
     p_eoc.add_argument("config", type=Path)
     p_eoc.add_argument("--levels", type=int, default=4)
-    p_eoc.add_argument("--imex", action="store_true",
-                       help="use the implicit-explicit scheme on the levels")
 
     p_info = sub.add_parser("mesh-info", help="print mesh statistics")
     p_info.add_argument("config", type=Path)
@@ -89,11 +86,8 @@ def _cmd_eoc(args):
     if surface.family != "sphere":
         raise WrongSurfaceKind("the refinement study runs on sphere surfaces")
     pot = cfg.build_potential()
-    scheme_cfg = cfg.scheme_config()
-    if args.imex:
-        scheme_cfg = replace(scheme_cfg, scheme=IMEX)
-    result = eoc_study(scheme_cfg, surface, pot, cfg.initial_function(),
-                       cfg.subdivisions, args.levels)
+    result = eoc_study(cfg.scheme_config(), surface, pot,
+                       cfg.initial_function(), cfg.subdivisions, args.levels)
 
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .potentials import make_potential
+from .potentials import quartic_potential
 from .solver import SchemeConfig
 from .surfaces import make_surface, surface_kinds
 
@@ -58,7 +58,6 @@ class RunConfig:
     n_minor: int = 16
     eps: float = 0.05
     theta: float = 1.0
-    potential: str = "quartic"
     tau: float = 1e-4
     t_end: float = 0.1
     scheme: str = "fully_implicit"
@@ -81,7 +80,7 @@ class RunConfig:
         return build_torus_mesh(surface, self.n_major, self.n_minor, t0)
 
     def build_potential(self):
-        return make_potential(self.potential, theta=self.theta)
+        return quartic_potential(theta=self.theta)
 
     def scheme_config(self):
         return SchemeConfig(
@@ -127,10 +126,6 @@ def validate_config(cfg):
         cfg.build_surface()
     except (TypeError, ValueError) as exc:
         raise ValidationError("surface", str(exc)) from exc
-    try:
-        cfg.build_potential()
-    except ValueError as exc:
-        raise ValidationError("potential", str(exc)) from exc
     return cfg
 
 
@@ -142,7 +137,6 @@ _KEYS = {
     "mesh.n_minor": ("n_minor", int),
     "eps": ("eps", float),
     "theta": ("theta", float),
-    "potential": ("potential", str),
     "tau": ("tau", float),
     "T": ("t_end", float),
     "scheme": ("scheme", str),
@@ -195,8 +189,3 @@ def emit_config(cfg):
     for name, value in sorted(cfg.surface_params.items()):
         lines.append(f"surface.{name} = {value}")
     return "\n".join(lines) + "\n"
-
-
-def load_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())

@@ -5,14 +5,6 @@ class EscherError(Exception):
     """Base class for all package errors."""
 
 
-class SingularPoint(EscherError):
-    """Level-set gradient vanishes at the queried point."""
-
-
-class NoConvergence(EscherError):
-    """Surface projection failed to converge (point outside the tubular neighbourhood)."""
-
-
 class OffSurface(EscherError):
     """A point expected on the zero level set is not on it."""
 

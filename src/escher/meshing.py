@@ -106,7 +106,7 @@ def build_torus_mesh(surface, n_major, n_minor, t0=0.0):
     theta = 2.0 * np.pi * np.arange(n_major) / n_major
     psi = 2.0 * np.pi * np.arange(n_minor) / n_minor
     TH, PS = np.meshgrid(theta, psi, indexing="ij")
-    nodes = surface._emit(TH.ravel(), PS.ravel(), t0)
+    nodes = surface._emit((TH.ravel(), PS.ravel()), t0)
 
     i = np.repeat(np.arange(n_major), n_minor)
     j = np.tile(np.arange(n_minor), n_major)
@@ -198,7 +198,7 @@ def mesh_quality(mesh):
     lengths = np.linalg.norm(np.roll(p, 1, axis=1) - np.roll(p, 2, axis=1), axis=2)
     semi = 0.5 * lengths.sum(axis=1)
     inradius = triangle_areas(mesh) / semi
-    return float(inradius.min() / mesh_size_h(mesh))
+    return float(inradius.min() / lengths.max())
 
 
 def validate_mesh(mesh, surface_tol=1e-10, area_tol=1e-14):

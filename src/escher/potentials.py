@@ -69,19 +69,6 @@ def quartic_potential(theta=1.0):
     )
 
 
-_POTENTIALS = {"quartic": quartic_potential}
-
-
-def make_potential(name, theta=1.0):
-    try:
-        factory = _POTENTIALS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown potential {name!r}; expected one of {sorted(_POTENTIALS)}"
-        ) from None
-    return factory(theta=theta)
-
-
 def validate_potential(pot, lo=-10.0, hi=10.0, samples=1000):
     """Spot-check convexity of F1 and the growth bound on a sample grid."""
     r = np.linspace(lo, hi, samples)

@@ -1,10 +1,13 @@
 """Analytic moving surfaces given by time-dependent level sets.
 
 Each surface is the zero set of a smooth function ``phi(x, t)`` together
-with an exact parametric node motion (radial scaling for spheres,
-angle-preserving maps for tori).  Points are plain numpy arrays of shape
-``(3,)`` or batched ``(..., 3)``; all operations broadcast over the leading
-axes and are pure functions of their inputs.
+with one chart: ``_coords(x, t)`` maps a point to coordinates that the
+exact motion keeps fixed (the unit direction on a sphere, the two tube
+angles on a torus), and ``_emit(coords, t)`` maps them back onto the
+surface at time t.  Closest-point projection and node motion are both
+those two maps.  Points are plain numpy arrays of shape ``(3,)`` or
+batched ``(..., 3)``; all operations broadcast over the leading axes and
+are pure functions of their inputs.
 
 Surfaces provided:
 
@@ -16,15 +19,13 @@ Surfaces provided:
 
 import numpy as np
 
-from .errors import NoConvergence, OffSurface, SingularPoint
+from .errors import OffSurface
 
-PROJECTION_TOL = 1e-12
-PROJECTION_MAX_ITER = 50
 ON_SURFACE_TOL = 1e-8
 
 
 class LevelSetSurface:
-    """Base class: level-set queries plus exact parametric node motion."""
+    """Base class: a level set plus the chart that projects and moves points."""
 
     kind = "abstract"
     family = "abstract"
@@ -33,64 +34,39 @@ class LevelSetSurface:
         """Level-set value phi(x, t); vectorised over leading axes of x."""
         raise NotImplementedError
 
-    def gradient_raw(self, x, t):
-        """Spatial gradient of phi without the singularity guard."""
+    def _coords(self, x, t):
+        """Coordinates of x that the exact motion keeps fixed."""
         raise NotImplementedError
 
-    def gradient(self, x, t):
-        """Spatial gradient of phi; raises SingularPoint where it vanishes."""
-        g = self.gradient_raw(x, t)
-        norms = np.linalg.norm(g, axis=-1)
-        if np.any(norms < 1e-12):
-            raise SingularPoint(f"|grad phi| < 1e-12 on {self.kind}")
-        return g
+    def _emit(self, coords, t):
+        """The surface point at time t with the given coordinates."""
+        raise NotImplementedError
+
+    def project(self, x, t):
+        """Closest point on the zero set at time t."""
+        return self._emit(self._coords(np.asarray(x, dtype=float), t), t)
 
     def move(self, x0, t0, t1):
         """Exact motion of surface points from time t0 to t1."""
-        raise NotImplementedError
-
-    def project(self, x, t, tol=PROJECTION_TOL, max_iter=PROJECTION_MAX_ITER):
-        """Project points onto the zero set by damped Newton along grad phi.
-
-        Converges quadratically inside the tubular neighbourhood; raises
-        NoConvergence after ``max_iter`` sweeps otherwise.
-        """
-        x = np.asarray(x, dtype=float)
-        p = np.atleast_2d(x).copy()
-        phi = self.value(p, t)
-        for _ in range(max_iter):
-            active = np.abs(phi) > tol
-            if not np.any(active):
-                return p.reshape(x.shape)
-            q = p[active]
-            g = self.gradient(q, t)
-            step = -(phi[active] / np.einsum("...d,...d->...", g, g))[..., None] * g
-            # damped update: halve until |phi| does not increase
-            lam = np.ones(len(q))
-            phi_old = np.abs(phi[active])
-            for _ in range(30):
-                trial = q + lam[:, None] * step
-                phi_new = np.abs(self.value(trial, t))
-                bad = phi_new > phi_old
-                if not np.any(bad):
-                    break
-                lam[bad] *= 0.5
-            p[active] = q + lam[:, None] * step
-            phi = self.value(p, t)
-        raise NoConvergence(
-            f"projection onto {self.kind} did not reach |phi| <= {tol:g} "
-            f"in {max_iter} iterations"
-        )
-
-    def _require_on_surface(self, x, t):
-        res = np.max(np.abs(self.value(x, t)))
+        x0 = np.asarray(x0, dtype=float)
+        res = np.max(np.abs(self.value(x0, t0)))
         if res > ON_SURFACE_TOL:
             raise OffSurface(
-                f"point not on {self.kind} at t={t:g}: |phi| = {res:.3e}"
+                f"point not on {self.kind} at t={t0:g}: |phi| = {res:.3e}"
             )
+        if t0 == t1:
+            return x0.copy()
+        return self._emit(self._coords(x0, t0), t1)
 
 
 class _SphereBase(LevelSetSurface):
+    """Sphere about the origin: phi = |x|^2 - R(t)^2.
+
+    The chart is the unit direction x/|x|, so projection is radial and the
+    motion scales each node with the radius.  The centre has no closest
+    point; nothing projects it, and its direction is nan.
+    """
+
     family = "sphere"
 
     def _radius_sq(self, t):
@@ -100,16 +76,11 @@ class _SphereBase(LevelSetSurface):
         x = np.asarray(x, dtype=float)
         return np.einsum("...d,...d->...", x, x) - self._radius_sq(t)
 
-    def gradient_raw(self, x, t):
-        return 2.0 * np.asarray(x, dtype=float)
+    def _coords(self, x, t):
+        return x / np.sqrt(np.einsum("...d,...d->...", x, x))[..., None]
 
-    def move(self, x0, t0, t1):
-        x0 = np.asarray(x0, dtype=float)
-        self._require_on_surface(x0, t0)
-        if t0 == t1:
-            return x0.copy()
-        scale = np.sqrt(self._radius_sq(t1) / self._radius_sq(t0))
-        return x0 * scale
+    def _emit(self, coords, t):
+        return np.sqrt(self._radius_sq(t)) * coords
 
 
 class OscillatingSphere(_SphereBase):
@@ -141,14 +112,15 @@ class StaticSphere(_SphereBase):
     def _radius_sq(self, t):
         return self.radius**2
 
-    def move(self, x0, t0, t1):
-        x0 = np.asarray(x0, dtype=float)
-        self._require_on_surface(x0, t0)
-        return x0.copy()
-
 
 class _TorusBase(LevelSetSurface):
-    """Torus around the z axis: phi = (sqrt(x^2+y^2) - R(t))^2 + z^2 - r(t)^2."""
+    """Torus around the z axis: phi = (sqrt(x^2+y^2) - R(t))^2 + z^2 - r(t)^2.
+
+    The chart is the angle pair (theta, psi) around the z axis and around
+    the core circle, so projection runs along the tube's normal and the
+    motion keeps both angles.  Points on the z axis or the core circle
+    have no unique closest point; arctan2 picks one.
+    """
 
     family = "torus"
 
@@ -162,40 +134,21 @@ class _TorusBase(LevelSetSurface):
         rho = np.hypot(x[..., 0], x[..., 1])
         return (rho - major) ** 2 + x[..., 2] ** 2 - minor**2
 
-    def gradient_raw(self, x, t):
-        x = np.asarray(x, dtype=float)
-        major, _ = self._radii(t)
-        rho = np.hypot(x[..., 0], x[..., 1])
-        safe = np.where(rho == 0.0, 1.0, rho)
-        fac = 2.0 * (rho - major) / safe
-        g = np.empty(np.broadcast_shapes(x.shape), dtype=float)
-        g[..., 0] = fac * x[..., 0]
-        g[..., 1] = fac * x[..., 1]
-        g[..., 2] = 2.0 * x[..., 2]
-        return g
-
-    def _angles(self, x, t):
+    def _coords(self, x, t):
         major, _ = self._radii(t)
         rho = np.hypot(x[..., 0], x[..., 1])
         theta = np.arctan2(x[..., 1], x[..., 0])
         psi = np.arctan2(x[..., 2], rho - major)
         return theta, psi
 
-    def _emit(self, theta, psi, t):
+    def _emit(self, coords, t):
+        theta, psi = coords
         major, minor = self._radii(t)
         rho = major + minor * np.cos(psi)
         return np.stack(
             [rho * np.cos(theta), rho * np.sin(theta), minor * np.sin(psi)],
             axis=-1,
         )
-
-    def move(self, x0, t0, t1):
-        x0 = np.asarray(x0, dtype=float)
-        self._require_on_surface(x0, t0)
-        if t0 == t1:
-            return x0.copy()
-        theta, psi = self._angles(x0, t0)
-        return self._emit(theta, psi, t1)
 
 
 class ConstantAreaTorus(_TorusBase):

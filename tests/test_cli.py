@@ -124,6 +124,14 @@ def test_eoc_needs_sphere(tmp_path):
     assert main(["eoc", str(cfg), "--levels", "2"]) == 2
 
 
+def test_eoc_imex_flag_removed(tmp_path):
+    # the scheme comes from the config's `scheme` key
+    cfg, _ = write_config(tmp_path, EOC_SMOKE)
+    with pytest.raises(SystemExit) as err:
+        main(["eoc", str(cfg), "--imex"])
+    assert err.value.code == 2
+
+
 def test_solver_failure_exit_code(tmp_path):
     # an over-the-fold fully implicit step with a one-iteration budget
     text = """

@@ -42,7 +42,6 @@ def test_minimal_config_with_defaults():
     assert cfg.newton_tol == 1e-11
     assert cfg.newton_max_iter == 25
     assert cfg.theta == 1.0
-    assert cfg.potential == "quartic"
 
 
 def test_torus_experiment_config_accepted():
@@ -78,7 +77,7 @@ def test_unknown_key_with_line_number():
     assert err.value.line == MINIMAL_SPHERE.count("\n") + 1
 
 
-@pytest.mark.parametrize("key", ["linear_solver", "seed"])
+@pytest.mark.parametrize("key", ["linear_solver", "seed", "potential"])
 def test_removed_keys_are_unknown(key):
     with pytest.raises(ParseError, match=f"unknown key '{key}'"):
         parse_config(MINIMAL_SPHERE + f"{key} = 0\n")

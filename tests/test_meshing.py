@@ -44,6 +44,10 @@ class TestIcosphere:
     def test_admissible_and_on_surface(self):
         validate_mesh(build_icosphere(OscillatingSphere(), 2))
 
+    def test_nodes_on_the_sphere_to_roundoff(self):
+        m = build_icosphere(OscillatingSphere(), 5)
+        assert np.max(np.abs(m.surface.value(m.nodes, 0.0))) <= 1e-15
+
     def test_wrong_kind(self):
         with pytest.raises(WrongSurfaceKind):
             build_icosphere(ConstantAreaTorus(), 1)

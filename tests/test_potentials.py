@@ -5,7 +5,6 @@ import pytest
 
 from escher.potentials import (
     Potential,
-    make_potential,
     quartic_potential,
     validate_potential,
 )
@@ -46,9 +45,3 @@ def test_validation_rejects_wrong_growth():
                     theta=1.0, growth=1.0, alpha=1.0)
     with pytest.raises(ValueError):
         validate_potential(bad)
-
-
-def test_factory():
-    assert make_potential("quartic", theta=2.0).theta == 2.0
-    with pytest.raises(ValueError):
-        make_potential("sextic")
