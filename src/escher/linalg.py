@@ -10,17 +10,20 @@ from .errors import IncompatibleRHS, IterativeBreakdown, SingularMatrix
 DIAG_PIVOT_THRESH = 1e-3  # least |diagonal| / column max taken as the pivot
 
 
-def _splu(A, **options):
+def _splu(A, dtype=float, **options):
     try:
-        return spla.splu(sp.csc_matrix(A), **options)
+        return spla.splu(sp.csc_matrix(A, dtype=dtype), **options)
     except RuntimeError as exc:
         raise SingularMatrix(str(exc)) from exc
 
 
 def lu_factor(A):
-    """Sparse LU in the given order with threshold diagonal pivoting, for a
-    matrix laid out by ``assembly.BlockLayout``; raises SingularMatrix."""
-    return _splu(A, permc_spec="NATURAL", diag_pivot_thresh=DIAG_PIVOT_THRESH,
+    """Single-precision sparse LU in the given order with threshold diagonal
+    pivoting, for a matrix laid out by ``assembly.BlockLayout``; raises
+    SingularMatrix.  The factor is a preconditioner: its ``solve`` takes and
+    returns float32 vectors."""
+    return _splu(A, dtype=np.float32, permc_spec="NATURAL",
+                 diag_pivot_thresh=DIAG_PIVOT_THRESH,
                  options={"SymmetricMode": True})
 
 

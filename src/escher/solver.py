@@ -16,14 +16,17 @@ one step solves the 2N x 2N block system
                                        -(theta/eps) M_prev alpha_prev)
 
 by Newton's method with the exact Jacobian.  Every linearisation is solved
-through one sparse LU factorisation in the fill-reducing order of
-``assembly.BlockLayout``, kept across iterations and timesteps as a BiCGStab
-preconditioner and refreshed when it goes stale.  Testing the first block
-row with constants shows ``1^T M alpha`` is conserved by construction.
+by BiCGStab preconditioned with one single-precision sparse LU factor in the
+fill-reducing order of ``assembly.BlockLayout``, kept across iterations and
+timesteps and refreshed when it goes stale.  Testing the first block row
+with constants shows ``1^T M alpha`` is conserved by construction.
 
 The fully implicit solution is unique only for ``tau < 4 eps^3 / theta^2``;
 a violation triggers a warning, not an error, since the scheme may still
-converge to one of the admissible solutions.
+converge to one of the admissible solutions.  Where every step has one
+solution (the implicit-explicit scheme always, the fully implicit one below
+the bound) Newton starts from the linear extrapolant of the last two time
+levels, and from the previous time level when that diverges.
 """
 
 import warnings
@@ -42,7 +45,13 @@ from .assembly import (
     quadrature_points_3d,
 )
 from .diagnostics import DiagnosticRecord, discrete_mass, ginzburg_landau_energy
-from .errors import EscherError, LengthMismatch, NewtonDivergence, ValidationError
+from .errors import (
+    EscherError,
+    IterativeBreakdown,
+    LengthMismatch,
+    NewtonDivergence,
+    ValidationError,
+)
 from .linalg import lu_factor, solve_mean_zero_spd, solve_sparse
 from .meshing import advance_mesh, mesh_size_h, surface_area
 from .quadrature import quadrature_rule
@@ -117,12 +126,14 @@ def _check_state(mesh, state):
 class LinearContext:
     """Linear solves for Newton iterations, reusable across timesteps.
 
-    The first system is factored by ``lu_factor`` in its given order and
-    solved with one step of iterative refinement, which makes up for the
-    threshold pivoting.  Later systems are solved by BiCGStab preconditioned
-    with that factorisation: consecutive Jacobians differ little, so a few
-    iterations reach ``RTOL``.  When BiCGStab fails the system is factored
-    afresh and solved as the first; when it needs more than half of
+    Every system is solved by BiCGStab in double precision to ``RTOL``,
+    preconditioned with a single-precision LU factor from ``lu_factor``;
+    the Krylov iteration on float64 residuals recovers the digits the
+    float32 factor lacks.  The factor is kept across iterations and
+    timesteps: consecutive Jacobians differ little, so a few iterations
+    suffice.  When BiCGStab fails on a kept factor the system is factored
+    afresh and solved again; when it fails on a fresh factor it raises
+    ``IterativeBreakdown``; when it needs more than half of
     ``REUSE_MAX_ITER`` iterations the next system is factored afresh.
     """
 
@@ -134,26 +145,40 @@ class LinearContext:
     def __init__(self):
         self._factor = None
 
+    def _bicgstab(self, matrix, b):
+        factor = self._factor
+
+        def precondition(v):  # SuperLU wants the factor's own precision
+            return factor.solve(v.astype(np.float32)).astype(float)
+
+        count = 0
+
+        def tick(_):
+            nonlocal count
+            count += 1
+
+        x, info = spla.bicgstab(
+            matrix, b, M=spla.LinearOperator(matrix.shape, precondition,
+                                             dtype=float),
+            rtol=self.RTOL, atol=1e-300, maxiter=self.REUSE_MAX_ITER,
+            callback=tick)
+        return (x if info == 0 and np.isfinite(x).all() else None), count
+
     def solve(self, matrix, b):
-        if self._factor is not None:
-            precond = spla.LinearOperator(matrix.shape, self._factor.solve,
-                                          dtype=float)
-            count = 0
-
-            def tick(_):
-                nonlocal count
-                count += 1
-
-            x, info = spla.bicgstab(matrix, b, M=precond, rtol=self.RTOL,
-                                    atol=1e-300, maxiter=self.REUSE_MAX_ITER,
-                                    callback=tick)
-            if info == 0 and np.isfinite(x).all():
-                if count > self.REUSE_MAX_ITER // 2:
-                    self._factor = None  # getting stale, refactor next time
-                return x
-        self._factor = lu_factor(matrix)
-        x = self._factor.solve(b)
-        return x + self._factor.solve(b - matrix @ x)
+        kept = self._factor is not None
+        if not kept:
+            self._factor = lu_factor(matrix)
+        x, count = self._bicgstab(matrix, b)
+        if x is None and kept:  # the kept factor went stale: refactor once
+            self._factor = lu_factor(matrix)
+            x, count = self._bicgstab(matrix, b)
+        if x is None:
+            raise IterativeBreakdown(
+                f"BiCGStab on a fresh factor missed rtol {self.RTOL:g} "
+                f"within {self.REUSE_MAX_ITER} iterations")
+        if count > self.REUSE_MAX_ITER // 2:
+            self._factor = None  # getting stale, refactor next time
+        return x
 
 
 def _newton(ops, rhs1, rhs2, b_data, state, cfg, pot, mesh_next,
@@ -241,18 +266,31 @@ def _newton(ops, rhs1, rhs2, b_data, state, cfg, pot, mesh_next,
     return result
 
 
+def _newton_from(args, initial_guess, context):
+    """Newton from ``initial_guess`` when one is given, and from the
+    previous state when none is or when the guess diverges."""
+    if initial_guess is not None:
+        try:
+            return _newton(*args, initial_guess=initial_guess, context=context)
+        except NewtonDivergence:
+            pass
+    return _newton(*args, context=context)
+
+
 def step_fully_implicit(mesh_prev, mesh_next, state, cfg, pot,
                         initial_guess=None, context=None, _depth=0):
     """One backward-Euler step with the whole well treated implicitly.
 
-    Newton starts from the previous time level.  For timesteps above the
-    uniqueness bound the iteration can fail in the nonconvex residual
-    landscape, so the step falls back to better warm starts: first the
-    implicit-explicit solution of the same step (its monotone implicit
-    part solves reliably), then two recursive half-steps whose endpoint
-    approximates the full-step solution to second order in tau.  The
-    system Newton finally converges on is the full-tau fully implicit one
-    in every case; if no warm start reaches it the divergence is reported.
+    Newton starts from ``initial_guess`` when one is given and from the
+    previous time level when none is or when the guess diverges.  For
+    timesteps above the uniqueness bound the iteration can fail in the
+    nonconvex residual landscape, so the step falls back to better warm
+    starts: first the implicit-explicit solution of the same step (its
+    monotone implicit part solves reliably), then two recursive half-steps
+    whose endpoint approximates the full-step solution to second order in
+    tau.  The system Newton finally converges on is the full-tau fully
+    implicit one in every case; if no warm start reaches it the divergence
+    is reported.
     """
     _check_state(mesh_prev, state)
     ops_prev = assemble_operators(mesh_prev)
@@ -260,17 +298,16 @@ def step_fully_implicit(mesh_prev, mesh_next, state, cfg, pot,
     rhs1 = ops_prev.M @ state.alpha
     rhs2 = np.zeros_like(rhs1)
     b_data = (-cfg.eps) * ops.A.data + (pot.theta / cfg.eps) * ops.M.data
+    args = (ops, rhs1, rhs2, b_data, state, cfg, pot, mesh_next)
     try:
-        return _newton(ops, rhs1, rhs2, b_data, state, cfg, pot, mesh_next,
-                       initial_guess=initial_guess, context=context)
+        return _newton_from(args, initial_guess, context)
     except NewtonDivergence:
-        if initial_guess is not None:
-            raise
+        pass
     try:
         warm = step_imex(mesh_prev, mesh_next, state, cfg, pot,
                          context=context)
-        return _newton(ops, rhs1, rhs2, b_data, state, cfg, pot, mesh_next,
-                       initial_guess=(warm.alpha, warm.beta), context=context)
+        return _newton(*args, initial_guess=(warm.alpha, warm.beta),
+                       context=context)
     except NewtonDivergence:
         if _depth >= 8:
             raise
@@ -281,22 +318,24 @@ def step_fully_implicit(mesh_prev, mesh_next, state, cfg, pot,
                                 context=context, _depth=_depth + 1)
     second = step_fully_implicit(mesh_mid, mesh_next, first, half_cfg, pot,
                                  context=context, _depth=_depth + 1)
-    return _newton(ops, rhs1, rhs2, b_data, state, cfg, pot, mesh_next,
-                   initial_guess=(second.alpha, second.beta), context=context)
+    return _newton(*args, initial_guess=(second.alpha, second.beta),
+                   context=context)
 
 
 def step_imex(mesh_prev, mesh_next, state, cfg, pot, initial_guess=None,
               context=None):
     """One convex-concave splitting step: convex part implicit, concave
-    quadratic explicit at the previous time level."""
+    quadratic explicit at the previous time level.  Newton starts as in
+    ``step_fully_implicit``; the implicit part is convex, so every start
+    leads to the one solution."""
     _check_state(mesh_prev, state)
     ops_prev = assemble_operators(mesh_prev)
     ops = assemble_operators(mesh_next)
     m_alpha = ops_prev.M @ state.alpha
     rhs2 = (-pot.theta / cfg.eps) * m_alpha
     b_data = (-cfg.eps) * ops.A.data
-    return _newton(ops, m_alpha, rhs2, b_data, state, cfg, pot, mesh_next,
-                   initial_guess=initial_guess, context=context)
+    return _newton_from((ops, m_alpha, rhs2, b_data, state, cfg, pot,
+                         mesh_next), initial_guess, context)
 
 
 _STEPPERS = {FULLY_IMPLICIT: step_fully_implicit, IMEX: step_imex}
@@ -400,17 +439,26 @@ def run_simulation(cfg, mesh, alpha0, pot, *, snapshot_every=0):
         )
 
     stepper = _STEPPERS[cfg.scheme]
+    # one solution per step: any start reaches it, so start near it
+    extrapolate = cfg.scheme == IMEX or cfg.tau < cfg.uniqueness_bound(pot)
     context = LinearContext()
     t0 = mesh.current_time
     state = PhaseState(alpha0, chemical_potential_for(mesh, alpha0, cfg, pot),
                        time=t0, step=0)
+    previous = None
     records = [_record(mesh, state, cfg, pot)]
     snapshots = [(mesh, state)] if snapshot_every > 0 else []
 
     for n in range(1, n_steps + 1):
         mesh_next = advance_mesh(mesh, t0 + n * cfg.tau)
+        guess = None
+        if extrapolate and previous is not None:
+            guess = (2.0 * state.alpha - previous.alpha,
+                     2.0 * state.beta - previous.beta)
         try:
-            state = stepper(mesh, mesh_next, state, cfg, pot, context=context)
+            previous, state = state, stepper(mesh, mesh_next, state, cfg, pot,
+                                             initial_guess=guess,
+                                             context=context)
         except EscherError as exc:  # args hold one message by construction
             exc.args = (f"step {n} (t={t0 + n * cfg.tau:g}): {exc}",)
             raise

@@ -6,25 +6,25 @@ terminal states are carried up to the finest mesh by repeated prolongation,
 and mass/stiffness-weighted distances to a reference solution computed
 there give the error column of the order-of-convergence tables.
 
-The reference is the fully implicit scheme on one extra refinement level
-with a quarter of the finest level's timestep; timesteps scale with the
-squared mesh size across levels so the first-order time error refines at
-the same rate as the spatial error.
+The reference is the study's own scheme on one extra refinement level with
+a quarter of the finest level's timestep; timesteps scale with the squared
+mesh size across levels so the first-order time error refines at the same
+rate as the spatial error.  Studies of both schemes can share one reference
+by passing it explicitly.
 """
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .diagnostics import EocTable, eoc, h1_semi_error, l2_error
 from .meshing import MeshHierarchy, build_icosphere, mesh_size_h, prolong_to
-from .solver import FULLY_IMPLICIT, initial_data_interpolate, run_simulation
+from .solver import initial_data_interpolate, run_simulation
 
 
 @dataclass
 class ReferenceSolution:
-    """Fine fully-implicit solve shared between convergence studies."""
+    """Fine solve shared between convergence studies."""
 
     hierarchy: MeshHierarchy
     level: int                 # index of the reference mesh in the hierarchy
@@ -55,18 +55,12 @@ def _run_level(cfg, mesh, u0, pot, tau):
 
 
 def compute_reference(cfg, surface, pot, u0, base_subdivisions, levels):
-    """Build the hierarchy and run the reference solve on the extra level."""
+    """Build the hierarchy and run ``cfg``'s scheme on the extra level."""
     base = build_icosphere(surface, base_subdivisions)
     hierarchy = MeshHierarchy.build(base, levels)
-    ref_cfg = replace(cfg, scheme=FULLY_IMPLICIT)
-    tau_ref = _level_tau(ref_cfg, levels)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        alpha, beta, mesh_final = _run_level(ref_cfg, hierarchy.levels[levels],
-                                             u0, pot, tau_ref)
-    for w in caught:  # the reference is fully implicit whatever the scheme
-        warnings.warn(f"EOC reference solve at tau = {tau_ref:g}: {w.message}",
-                      w.category, stacklevel=2)
+    tau_ref = _level_tau(cfg, levels)
+    alpha, beta, mesh_final = _run_level(cfg, hierarchy.levels[levels], u0,
+                                         pot, tau_ref)
     return ReferenceSolution(hierarchy=hierarchy, level=levels,
                              mesh_final=mesh_final, alpha=alpha, beta=beta,
                              tau=tau_ref)
@@ -79,7 +73,8 @@ def eoc_study(cfg, surface, pot, u0, base_subdivisions, levels, *,
     ``cfg.tau`` is the coarsest level's timestep; each finer level divides
     it by four.  A precomputed ``reference`` may be passed to share the
     expensive fine solve between studies (e.g. between the fully implicit
-    and implicit-explicit variants).
+    and implicit-explicit variants); without one, the reference runs
+    ``cfg``'s scheme.
     """
     if levels < 2:
         raise ValueError("need at least 2 levels for a convergence order")

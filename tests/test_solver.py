@@ -3,12 +3,15 @@ and consistency properties, and the smooth-function projection."""
 
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from escher import solver
 from escher.assembly import (
@@ -20,6 +23,7 @@ from escher.config import sphere_eoc_initial
 from escher.diagnostics import l2_error
 from escher.errors import (
     IncompatibleRHS,
+    IterativeBreakdown,
     LengthMismatch,
     NewtonDivergence,
     SingularMatrix,
@@ -31,6 +35,8 @@ from escher.potentials import quartic_potential
 from escher.solver import (
     LinearContext,
     PhaseState,
+    FULLY_IMPLICIT,
+    IMEX,
     SchemeConfig,
     chemical_potential_for,
     initial_data_interpolate,
@@ -40,6 +46,7 @@ from escher.solver import (
     step_imex,
 )
 from escher.surfaces import OscillatingSphere, StaticSphere
+from test_acceptance import smooth_random_pm_data
 
 
 @pytest.fixture(scope="module")
@@ -76,8 +83,8 @@ class TestSolveSparse:
 
 
 class TestLinearContext:
-    """The Newton linear solver: one LU factor in the block layout's order,
-    reused as a BiCGStab preconditioner until it goes stale."""
+    """The Newton linear solver: BiCGStab preconditioned with one float32 LU
+    factor in the block layout's order, reused until it goes stale."""
 
     @pytest.fixture
     def factor_calls(self, monkeypatch):
@@ -119,7 +126,8 @@ class TestLinearContext:
         b = np.random.default_rng(3).normal(size=2 * sphere_mesh.node_count)
         context = LinearContext()
         first = self.block(sphere_mesh, 1e-4)
-        assert self.relative_residual(first, context.solve(first, b), b) <= 1e-12
+        x = context.solve(first, b)
+        assert self.relative_residual(first, x, b) <= LinearContext.RTOL
         nearby = self.block(sphere_mesh, 1.1e-4)
         x = context.solve(nearby, b)
         assert len(factor_calls) == 1
@@ -132,7 +140,7 @@ class TestLinearContext:
         far = self.block(sphere_mesh, 1.0, eps=1.0, theta=0.0)
         x = context.solve(far, b)
         assert len(factor_calls) == 2 and factor_calls[-1] is far
-        assert self.relative_residual(far, x, b) <= 1e-12
+        assert self.relative_residual(far, x, b) <= LinearContext.RTOL
 
     def test_singular_matrix(self):
         A = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
@@ -147,11 +155,27 @@ class TestLinearContext:
         npt.assert_array_equal(factor.perm_r, np.arange(matrix.shape[0]))
         assert factor.nnz < spla.splu(matrix, permc_spec="COLAMD").nnz
 
-    def test_fresh_factor_solve_is_accurate(self, reference_newton_matrix):
+    def test_fresh_factor_solve_is_accurate(self, reference_newton_matrix,
+                                            factor_calls):
+        # the float32 factor only preconditions: BiCGStab on float64
+        # residuals still reaches RTOL without a second factorisation
         matrix = reference_newton_matrix
         b = np.random.default_rng(6).normal(size=matrix.shape[0])
         x = LinearContext().solve(matrix, b)
-        assert self.relative_residual(matrix, x, b) <= 1e-13
+        assert self.relative_residual(matrix, x, b) <= LinearContext.RTOL
+        assert len(factor_calls) == 1
+        assert lu_factor(matrix).L.dtype == np.float32
+
+    def test_fresh_factor_failure_raises(self, sphere_mesh, monkeypatch,
+                                         factor_calls):
+        def failing(A, b, **kwargs):
+            return np.zeros_like(b), kwargs["maxiter"]
+
+        monkeypatch.setattr(spla, "bicgstab", failing)
+        matrix = self.block(sphere_mesh, 1e-4)
+        with pytest.raises(IterativeBreakdown):
+            LinearContext().solve(matrix, np.ones(matrix.shape[0]))
+        assert len(factor_calls) == 1
 
 
 class TestSolveMeanZero:
@@ -206,8 +230,9 @@ class TestSteps:
         npt.assert_allclose(result.final_state.beta, 0.0, atol=1e-12)
 
     def test_newton_iteration_budget(self, pot):
-        # tau = 1e-4 with previous-step initial guesses stays comfortably
-        # within eight iterations per step
+        # tau = 1e-4 with extrapolated initial guesses (the previous state
+        # on the first step) stays comfortably within eight iterations
+        # per step
         mesh = build_icosphere(OscillatingSphere(), 2)
         cfg = SchemeConfig(eps=0.05, tau=1e-4, t_end=2e-3)
         alpha = initial_data_interpolate(mesh, sphere_eoc_initial)
@@ -235,8 +260,11 @@ class TestSteps:
         mesh_next = advance_mesh(sphere_mesh, cfg.tau)
         a = step_fully_implicit(sphere_mesh, mesh_next, state, cfg, pot)
         zeros = np.zeros(sphere_mesh.node_count)
-        b = step_fully_implicit(sphere_mesh, mesh_next, state, cfg, pot,
-                                initial_guess=(zeros, zeros))
+        with mock.patch.object(solver, "_newton",
+                               wraps=solver._newton) as newton:
+            b = step_fully_implicit(sphere_mesh, mesh_next, state, cfg, pot,
+                                    initial_guess=(zeros, zeros))
+        assert newton.call_count == 1  # zero start converged, no fallback
         assert np.abs(a.alpha - b.alpha).max() <= 1e-9
         assert np.abs(a.beta - b.beta).max() <= 1e-9
 
@@ -264,6 +292,44 @@ class TestSteps:
             deltas.append(np.abs(finals["fully_implicit"] - finals["imex"]).max())
         for coarse, fine in zip(deltas[:-1], deltas[1:]):
             assert 1.6 <= coarse / fine <= 2.4
+
+
+class TestExtrapolatedStart:
+    """``run_simulation`` starts Newton from 2 x_n - x_(n-1) where each
+    step has one solution; the start must not change what is solved."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           scheme=st.sampled_from((FULLY_IMPLICIT, IMEX)),
+           static=st.booleans(), fraction=st.floats(0.01, 1.0))
+    def test_start_changes_nothing(self, pot, seed, scheme, static, fraction):
+        surface = StaticSphere() if static else OscillatingSphere()
+        mesh = build_icosphere(surface, 2)
+        cfg = SchemeConfig(eps=0.05, tau=1.0, t_end=1.0, scheme=scheme)
+        top = (0.9 * cfg.uniqueness_bound(pot) if scheme == FULLY_IMPLICIT
+               else 1e-2)
+        cfg = replace(cfg, tau=fraction * top, t_end=3 * fraction * top)
+        alpha0 = smooth_random_pm_data(mesh, seed)
+        result = run_simulation(cfg, mesh, alpha0, pot, snapshot_every=1)
+
+        (_, s0), (m1, s1), (m2, s2) = result.snapshots[:3]
+        guess = (2 * s1.alpha - s0.alpha, 2 * s1.beta - s0.beta)
+        stepper = solver._STEPPERS[scheme]
+        with mock.patch.object(solver, "_newton",
+                               wraps=solver._newton) as newton:
+            extrapolated = stepper(m1, m2, s1, cfg, pot, initial_guess=guess)
+        assert newton.call_count == 1  # the extrapolant converged
+        previous = stepper(m1, m2, s1, cfg, pot)
+        for out in (extrapolated, s2):
+            assert np.abs(out.alpha - previous.alpha).max() <= 1e-9
+            assert np.abs(out.beta - previous.beta).max() <= 1e-9
+
+        masses = np.array([r.mass for r in result.records])
+        assert np.abs(np.diff(masses)).max() <= (
+            10 * mesh.node_count * cfg.newton_tol)
+        if static and scheme == IMEX:
+            energies = np.array([r.energy for r in result.records])
+            assert np.diff(energies).max() <= 1e-10
 
 
 class TestRunSimulation:
