@@ -53,7 +53,6 @@ from .solver import (
     SchemeConfig,
     SimulationResult,
     initial_data_interpolate,
-    ritz_projection,
     run_simulation,
     step_fully_implicit,
     step_imex,

@@ -4,7 +4,9 @@ Assembles the mass matrix M, the (Laplace-Beltrami) stiffness matrix A, the
 nonlinear load vector with entries ``integral F1'(U_h) phi_j``, and its
 Jacobian with entries ``integral F1''(U_h) phi_i phi_j``.  Hat-function
 gradients are taken in each triangle's plane, so A is the standard
-cotangent-equivalent operator with ``A @ 1 = 0``.
+cotangent-equivalent operator with ``A @ 1 = 0``.  Areas, hat gradients
+and edge lengths come from one geometry pass per mesh
+(``element_geometry``), which the mesh measures in ``meshing`` read too.
 
 Everything is vectorised over triangles.  The scatter from element entries
 to CSR storage is precomputed once per connectivity and cached on the mesh,
@@ -15,6 +17,7 @@ bit for bit.  The pattern also carries the fill-reducing layout of the
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -129,8 +132,16 @@ def block_layout(mesh):
     return pat.layout
 
 
+class Geometry(NamedTuple):
+    """Per-triangle quantities of one mesh at one time."""
+
+    areas: np.ndarray    # (nt,)
+    grads: np.ndarray    # (nt, 3, 3): in-plane gradient of hat i
+    lengths: np.ndarray  # (nt, 3): length of the edge opposite vertex i
+
+
 def element_geometry(mesh):
-    """Per-triangle areas and in-plane P1 hat gradients, cached on the mesh."""
+    """The mesh's one geometry pass, cached on it; raises DegenerateTriangle."""
     geo = mesh._cache.get("geometry")
     if geo is None:
         p = mesh.nodes[mesh.triangles]
@@ -145,7 +156,7 @@ def element_geometry(mesh):
         # edge opposite vertex i, rotated into the plane: grad phi_i
         edges = np.roll(p, 1, axis=1) - np.roll(p, 2, axis=1)
         grads = np.cross(normals[:, None, :], edges) / doubled[:, None, None]
-        geo = (areas, grads)
+        geo = Geometry(areas, grads, np.linalg.norm(edges, axis=2))
         mesh._cache["geometry"] = geo
     return geo
 
@@ -155,13 +166,13 @@ _MASS_LOCAL = (np.ones((3, 3)) + np.eye(3)) / 12.0
 
 def assemble_mass(mesh):
     """Consistent P1 mass matrix: |K|/12 * [[2,1,1],[1,2,1],[1,1,2]] per element."""
-    areas, _ = element_geometry(mesh)
+    areas = element_geometry(mesh).areas
     return _pattern(mesh).assemble(areas[:, None, None] * _MASS_LOCAL)
 
 
 def assemble_stiffness(mesh):
     """Stiffness of the surface gradient; symmetric PSD with A @ 1 = 0."""
-    areas, grads = element_geometry(mesh)
+    areas, grads, _ = element_geometry(mesh)
     local = np.einsum("tid,tjd->tij", grads, grads)
     return _pattern(mesh).assemble(areas[:, None, None] * local)
 
@@ -205,7 +216,7 @@ def assemble_nonlinear_load(mesh, alpha, pot, degree=NONLINEAR_QUAD_DEGREE):
     functions exactly; higher degrees serve as over-integration oracles.
     """
     alpha = _check_length(mesh, alpha)
-    areas, _ = element_geometry(mesh)
+    areas = element_geometry(mesh).areas
     rule = quadrature_rule(degree)
     lam, w = rule.points, rule.weights
     u_q = alpha[mesh.triangles] @ lam.T              # (nt, nq)
@@ -217,7 +228,7 @@ def assemble_nonlinear_load(mesh, alpha, pot, degree=NONLINEAR_QUAD_DEGREE):
 def assemble_nonlinear_jacobian(mesh, alpha, pot, degree=NONLINEAR_QUAD_DEGREE):
     """Jacobian of the nonlinear load: entries ``integral F1''(U_h) phi_i phi_j``."""
     alpha = _check_length(mesh, alpha)
-    areas, _ = element_geometry(mesh)
+    areas = element_geometry(mesh).areas
     rule = quadrature_rule(degree)
     lam, w = rule.points, rule.weights
     u_q = alpha[mesh.triangles] @ lam.T
@@ -231,13 +242,8 @@ def assemble_nonlinear_jacobian(mesh, alpha, pot, degree=NONLINEAR_QUAD_DEGREE):
 def integrate_composed(mesh, alpha, func, degree=NONLINEAR_QUAD_DEGREE):
     """Quadrature of ``func(U_h)`` over the triangulated surface."""
     alpha = _check_length(mesh, alpha)
-    areas, _ = element_geometry(mesh)
+    areas = element_geometry(mesh).areas
     rule = quadrature_rule(degree)
     u_q = alpha[mesh.triangles] @ rule.points.T
     return float(areas @ (func(u_q) @ rule.weights))
 
-
-def quadrature_points_3d(mesh, degree):
-    """Quadrature point positions on every triangle, shape (nt, nq, 3)."""
-    rule = quadrature_rule(degree)
-    return np.einsum("qk,tkd->tqd", rule.points, mesh.nodes[mesh.triangles])

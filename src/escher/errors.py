@@ -17,6 +17,10 @@ class LevelOutOfRange(EscherError):
     """Hierarchy level index outside the stored range."""
 
 
+class BadConnectivity(EscherError):
+    """Triangles do not form a closed, consistently oriented surface."""
+
+
 class DegenerateTriangle(EscherError):
     """Triangle area below the degeneracy threshold."""
 

@@ -4,7 +4,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import IncompatibleRHS, IterativeBreakdown, SingularMatrix
+from .errors import IncompatibleRHS, SingularMatrix
 
 
 DIAG_PIVOT_THRESH = 1e-3  # least |diagonal| / column max taken as the pivot
@@ -32,13 +32,14 @@ def solve_sparse(A, b):
     return _splu(A).solve(np.asarray(b, dtype=float))
 
 
-def solve_mean_zero_spd(A, b, M, rtol=1e-12):
+def solve_mean_zero_spd(A, b, M):
     """Solve the singular SPD system ``A x = b`` with ``1^T M x = 0``.
 
     ``A`` is a stiffness matrix whose kernel is the constants, so ``b`` must
-    satisfy the compatibility condition ``1^T b = 0``; conjugate gradients
-    stay in the compatible subspace and the kernel component is fixed by an
-    M-weighted mean shift at the end.
+    satisfy the compatibility condition ``1^T b = 0``.  The system grounded
+    at node 0 (``x_0 = 0``, its row and column dropped) is nonsingular and
+    solved directly; the kernel component is then fixed by an M-weighted
+    mean shift.
     """
     b = np.asarray(b, dtype=float)
     scale = np.linalg.norm(b)
@@ -48,11 +49,6 @@ def solve_mean_zero_spd(A, b, M, rtol=1e-12):
         )
     if scale == 0.0:
         return np.zeros_like(b)
-    diag = A.diagonal()
-    precond = spla.LinearOperator(A.shape, lambda v: v / diag)
-    x, info = spla.cg(A, b, M=precond, rtol=rtol, atol=0.0,
-                      maxiter=50 * A.shape[0])
-    if info != 0:
-        raise IterativeBreakdown(f"cg failed with info={info}")
+    x = np.r_[0.0, solve_sparse(A[1:, 1:], b[1:])]
     lumped = np.asarray(M.sum(axis=1)).ravel()
     return x - lumped @ x / lumped.sum()

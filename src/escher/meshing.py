@@ -15,7 +15,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import element_geometry
-from .errors import LengthMismatch, LevelOutOfRange, WrongSurfaceKind
+from .errors import (
+    BadConnectivity,
+    LengthMismatch,
+    LevelOutOfRange,
+    OffSurface,
+    WrongSurfaceKind,
+)
+
+SURFACE_TOL = 1e-10  # largest |phi| at a node that validate_mesh accepts
 
 # golden-ratio icosahedron, consistently oriented with outward normals
 _ICO_T = (1.0 + np.sqrt(5.0)) / 2.0
@@ -176,50 +184,41 @@ def advance_mesh(mesh, t1):
 
 def mesh_size_h(mesh):
     """Maximum triangle diameter (longest edge) at the current time."""
-    p = mesh.nodes[mesh.triangles]
-    lengths = np.linalg.norm(np.roll(p, 1, axis=1) - np.roll(p, 2, axis=1), axis=2)
-    return float(lengths.max())
-
-
-def triangle_areas(mesh):
-    p = mesh.nodes[mesh.triangles]
-    cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    return 0.5 * np.linalg.norm(cross, axis=1)
+    return float(element_geometry(mesh).lengths.max())
 
 
 def surface_area(mesh):
     """Total area of the triangulated surface at the current time."""
-    return float(element_geometry(mesh)[0].sum())
+    return float(element_geometry(mesh).areas.sum())
 
 
 def mesh_quality(mesh):
     """Quasi-uniformity proxy: min over triangles of inradius / h."""
-    p = mesh.nodes[mesh.triangles]
-    lengths = np.linalg.norm(np.roll(p, 1, axis=1) - np.roll(p, 2, axis=1), axis=2)
-    semi = 0.5 * lengths.sum(axis=1)
-    inradius = triangle_areas(mesh) / semi
+    areas, _, lengths = element_geometry(mesh)
+    inradius = areas / (0.5 * lengths.sum(axis=1))
     return float(inradius.min() / lengths.max())
 
 
-def validate_mesh(mesh, surface_tol=1e-10, area_tol=1e-14):
-    """Check admissibility: closed orientable connectivity, nodes on the
-    surface, no degenerate triangles.  Raises ValueError on violation."""
+def validate_mesh(mesh):
+    """Check admissibility: closed orientable connectivity (else
+    BadConnectivity), nodes on the surface (else OffSurface), no degenerate
+    triangles (else DegenerateTriangle)."""
     tris = mesh.triangles
     if tris.min() < 0 or tris.max() >= mesh.node_count:
-        raise ValueError("triangle indices out of range")
+        raise BadConnectivity("triangle indices out of range")
     directed = np.vstack([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
     keys = directed[:, 0] * mesh.node_count + directed[:, 1]
     if len(np.unique(keys)) != len(keys):
-        raise ValueError("inconsistent orientation: repeated directed edge")
+        raise BadConnectivity("inconsistent orientation: repeated directed edge")
     undirected = np.sort(directed, axis=1)
     _, counts = np.unique(undirected, axis=0, return_counts=True)
     if not np.all(counts == 2):
-        raise ValueError("surface not closed: edge not shared by exactly 2 triangles")
+        raise BadConnectivity(
+            "surface not closed: edge not shared by exactly 2 triangles")
     residual = np.max(np.abs(mesh.surface.value(mesh.nodes, mesh.current_time)))
-    if residual > surface_tol:
-        raise ValueError(f"nodes off the zero set: max |phi| = {residual:.3e}")
-    if triangle_areas(mesh).min() <= area_tol:
-        raise ValueError("degenerate triangle present")
+    if residual > SURFACE_TOL:
+        raise OffSurface(f"nodes off the zero set: max |phi| = {residual:.3e}")
+    element_geometry(mesh)  # raises DegenerateTriangle
 
 
 class MeshHierarchy:

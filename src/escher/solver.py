@@ -41,8 +41,6 @@ from .assembly import (
     assemble_nonlinear_load,
     assemble_operators,
     block_layout,
-    element_geometry,
-    quadrature_points_3d,
 )
 from .diagnostics import DiagnosticRecord, discrete_mass, ginzburg_landau_energy
 from .errors import (
@@ -52,9 +50,8 @@ from .errors import (
     NewtonDivergence,
     ValidationError,
 )
-from .linalg import lu_factor, solve_mean_zero_spd, solve_sparse
+from .linalg import lu_factor, solve_sparse
 from .meshing import advance_mesh, mesh_size_h, surface_area
-from .quadrature import quadrature_rule
 
 FULLY_IMPLICIT = "fully_implicit"
 IMEX = "imex"
@@ -364,31 +361,6 @@ def chemical_potential_for(mesh, alpha, cfg, pot):
         assemble_nonlinear_load(mesh, alpha, pot) - pot.theta * (ops.M @ alpha)
     ) / cfg.eps
     return solve_sparse(ops.M, rhs)
-
-
-def ritz_projection(mesh, z, grad_z, degree=4):
-    """Project a smooth function onto P1 through its tangential gradient.
-
-    Solves the stiffness system with right side ``integral grad_z . grad
-    phi_j`` (quadrature on the triangulated surface) subject to the mesh
-    integral of the result matching the integral of ``z``.  Supplying the
-    ambient gradient is fine: hat gradients lie in the element planes, so
-    only the tangential part enters.
-    """
-    ops = assemble_operators(mesh)
-    areas, grads = element_geometry(mesh)
-    rule = quadrature_rule(degree)
-    pts = quadrature_points_3d(mesh, degree)
-    gz = np.asarray(grad_z(pts.reshape(-1, 3)), dtype=float).reshape(pts.shape)
-    rhs_elem = areas[:, None] * np.einsum("q,tqd,tjd->tj", rule.weights, gz, grads)
-    rhs = np.bincount(mesh.triangles.ravel(), weights=rhs_elem.ravel(),
-                      minlength=mesh.node_count)
-    zvals = np.asarray(z(pts.reshape(-1, 3)), dtype=float).reshape(pts.shape[:2])
-    target_integral = float(areas @ (zvals @ rule.weights))
-
-    x = solve_mean_zero_spd(ops.A, rhs, ops.M)
-    total_area = np.asarray(ops.M.sum(axis=1)).ravel().sum()
-    return x + target_integral / total_area
 
 
 @dataclass

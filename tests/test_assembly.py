@@ -6,6 +6,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from escher.assembly import (
     assemble_mass,
@@ -14,6 +16,7 @@ from escher.assembly import (
     assemble_operators,
     assemble_stiffness,
     block_layout,
+    element_geometry,
     integrate_composed,
 )
 from escher.errors import DegenerateTriangle
@@ -22,6 +25,8 @@ from escher.meshing import (
     advance_mesh,
     build_icosphere,
     build_torus_mesh,
+    mesh_quality,
+    mesh_size_h,
     refine,
     surface_area,
 )
@@ -182,6 +187,44 @@ class TestGeometryOnly:
         mesh = single_triangle([0, 0, 0], [1, 0, 0], [2, 0, 0])
         with pytest.raises(DegenerateTriangle):
             assemble_mass(mesh)
+
+
+class TestRigidMotion:
+    """Geometry and operators depend on the triangles as point sets only:
+    a rigid motion of the nodes, a permutation of the triangles and a
+    cyclic shift of each triangle's vertices change nothing but roundoff."""
+
+    MESHES = {
+        "sphere": build_icosphere(StaticSphere(), 3),  # 642 nodes
+        "torus": build_torus_mesh(ConstantAreaTorus(), 16, 8),
+    }
+
+    @settings(max_examples=20, deadline=None)
+    @given(kind=st.sampled_from(sorted(MESHES)), seed=st.integers(0, 2**32 - 1))
+    def test_invariance(self, kind, seed):
+        mesh = self.MESHES[kind]
+        rng = np.random.default_rng(seed)
+        q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        q *= np.linalg.det(q)  # a rotation, not a reflection
+        perm = rng.permutation(mesh.triangle_count)
+        shift = rng.integers(0, 3, size=(mesh.triangle_count, 1))
+        tris = np.take_along_axis(mesh.triangles[perm],
+                                  (np.arange(3) + shift) % 3, axis=1)
+        moved = SurfaceMesh(mesh.nodes @ q.T + rng.uniform(-5, 5, 3), tris,
+                            surface=None)
+
+        areas = element_geometry(mesh).areas
+        npt.assert_allclose(element_geometry(moved).areas, areas[perm],
+                            rtol=1e-12)
+        for measure in (mesh_size_h, surface_area, mesh_quality):
+            assert measure(moved) == pytest.approx(measure(mesh), rel=1e-12)
+        ops, ops_moved = assemble_operators(mesh), assemble_operators(moved)
+        for X, Y in ((ops.M, ops_moved.M), (ops.A, ops_moved.A)):
+            scale = abs(X).max()
+            assert abs(Y - Y.T).max() <= 1e-14 * scale
+            assert abs(Y - X).max() <= 1e-12 * scale
+        ones = np.ones(mesh.node_count)
+        assert np.abs(ops_moved.A @ ones).max() <= 1e-12 * abs(ops.A).max()
 
 
 class TestBlockLayout:

@@ -4,7 +4,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from escher.errors import LengthMismatch, LevelOutOfRange, WrongSurfaceKind
+from escher.errors import (
+    BadConnectivity,
+    DegenerateTriangle,
+    LengthMismatch,
+    LevelOutOfRange,
+    OffSurface,
+    WrongSurfaceKind,
+)
 from escher.meshing import (
     MeshHierarchy,
     SurfaceMesh,
@@ -151,6 +158,42 @@ class TestAdvance:
         m2 = advance_mesh(m, 0.1)
         with pytest.raises(ValueError):
             advance_mesh(m2, 0.05)
+
+
+def broken_icosphere(fault):
+    """The 42-node icosphere with one ``fault``."""
+    m = build_icosphere(StaticSphere(), 1)
+    nodes, tris = m.nodes.copy(), m.triangles.copy()
+    if fault == "index_out_of_range":
+        tris[0, 0] = m.node_count
+    elif fault == "repeated_directed_edge":
+        tris[0] = tris[0, ::-1]  # one triangle against the orientation
+    elif fault == "open_edge":
+        tris = tris[1:]
+    elif fault == "off_surface":
+        nodes[0] *= 1.01
+    elif fault == "degenerate":  # two vertices coincide, still on the sphere
+        nodes[tris[0, 1]] = nodes[tris[0, 0]]
+    return SurfaceMesh(nodes, tris, m.surface)
+
+
+class TestValidate:
+    @pytest.mark.parametrize("fault, error, match", [
+        ("index_out_of_range", BadConnectivity, "out of range"),
+        ("repeated_directed_edge", BadConnectivity, "repeated directed edge"),
+        ("open_edge", BadConnectivity, "not shared by exactly 2"),
+        ("off_surface", OffSurface, "off the zero set"),
+        ("degenerate", DegenerateTriangle, "triangle area"),
+    ])
+    def test_fault_raises_its_error(self, fault, error, match):
+        validate_mesh(broken_icosphere(None))
+        with pytest.raises(error, match=match):
+            validate_mesh(broken_icosphere(fault))
+
+    @pytest.mark.parametrize("measure", [mesh_size_h, mesh_quality, surface_area])
+    def test_measures_reject_degenerate_triangles(self, measure):
+        with pytest.raises(DegenerateTriangle):
+            measure(broken_icosphere("degenerate"))
 
 
 class TestHierarchyAndProlongation:

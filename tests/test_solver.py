@@ -20,7 +20,6 @@ from escher.assembly import (
     block_layout,
 )
 from escher.config import sphere_eoc_initial
-from escher.diagnostics import l2_error
 from escher.errors import (
     IncompatibleRHS,
     IterativeBreakdown,
@@ -30,7 +29,7 @@ from escher.errors import (
     ValidationError,
 )
 from escher.linalg import lu_factor, solve_mean_zero_spd, solve_sparse
-from escher.meshing import advance_mesh, build_icosphere, mesh_size_h
+from escher.meshing import advance_mesh, build_icosphere
 from escher.potentials import quartic_potential
 from escher.solver import (
     LinearContext,
@@ -40,7 +39,6 @@ from escher.solver import (
     SchemeConfig,
     chemical_potential_for,
     initial_data_interpolate,
-    ritz_projection,
     run_simulation,
     step_fully_implicit,
     step_imex,
@@ -435,44 +433,3 @@ class TestInitialData:
             initial_data_interpolate(sphere_mesh, u0)
         assert err.value.args == ("bad u0",)
         assert calls == [(sphere_mesh.node_count, 3)]
-
-
-class TestRitzProjection:
-    def test_constant(self, sphere_mesh):
-        c = 2.5
-        vals = ritz_projection(sphere_mesh,
-                               z=lambda p: np.full(p.shape[:-1], c),
-                               grad_z=lambda p: np.zeros_like(p))
-        npt.assert_allclose(vals, c, atol=1e-9)
-
-    def test_ambient_linear_equals_interpolant(self, sphere_mesh):
-        g = np.array([0.4, -0.2, 1.0])
-        vals = ritz_projection(sphere_mesh,
-                               z=lambda p: p @ g,
-                               grad_z=lambda p: np.broadcast_to(g, p.shape))
-        npt.assert_allclose(vals, sphere_mesh.nodes @ g, atol=1e-8)
-
-    def test_second_order_agreement_with_interpolant(self):
-        # smooth non-polynomial function: the gap to the interpolant
-        # shrinks like h^2 under refinement
-        surface = StaticSphere()
-
-        def z(p):
-            return np.sin(p[..., 0] + 2 * p[..., 1]) * np.exp(p[..., 2])
-
-        def grad_z(p):
-            gx = np.cos(p[..., 0] + 2 * p[..., 1]) * np.exp(p[..., 2])
-            gz = z(p)
-            g = np.stack([gx, 2 * gx, gz], axis=-1)
-            normal = p / np.linalg.norm(p, axis=-1, keepdims=True)
-            return g - (g * normal).sum(axis=-1, keepdims=True) * normal
-
-        gaps, hs = [], []
-        for subdiv in (1, 2, 3):
-            mesh = build_icosphere(surface, subdiv)
-            ritz = ritz_projection(mesh, z, grad_z)
-            interp = initial_data_interpolate(mesh, z)
-            gaps.append(l2_error(mesh, ritz, interp))
-            hs.append(mesh_size_h(mesh))
-        rate = np.log(gaps[0] / gaps[-1]) / np.log(hs[0] / hs[-1])
-        assert rate > 1.6
