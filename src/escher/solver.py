@@ -18,19 +18,22 @@ one step solves the 2N x 2N block system
 by Newton's method with the exact Jacobian.  Every linearisation is solved
 by BiCGStab preconditioned with one single-precision sparse LU factor in the
 fill-reducing order of ``assembly.BlockLayout``, kept across iterations and
-timesteps and refreshed when it goes stale.  Testing the first block row
+timesteps and refreshed when a solve needs clearly more preconditioner
+applies than the first one on it did.  Testing the first block row
 with constants shows ``1^T M alpha`` is conserved by construction.
 
 The fully implicit solution is unique only for ``tau < 4 eps^3 / theta^2``;
 a violation triggers a warning, not an error, since the scheme may still
 converge to one of the admissible solutions.  Where every step has one
 solution (the implicit-explicit scheme always, the fully implicit one below
-the bound) Newton starts from the linear extrapolant of the last two time
-levels, and from the previous time level when that diverges.
+the bound) Newton starts from the polynomial extrapolant of the last three
+time levels (two on the second step), and from the previous time level when
+that diverges.
 """
 
 import warnings
 from dataclasses import dataclass, field, replace
+from math import comb
 
 import numpy as np
 import scipy.sparse as sp
@@ -128,52 +131,57 @@ class LinearContext:
     the Krylov iteration on float64 residuals recovers the digits the
     float32 factor lacks.  The factor is kept across iterations and
     timesteps: consecutive Jacobians differ little, so a few iterations
-    suffice.  When BiCGStab fails on a kept factor the system is factored
-    afresh and solved again; when it fails on a fresh factor it raises
-    ``IterativeBreakdown``; when it needs more than half of
-    ``REUSE_MAX_ITER`` iterations the next system is factored afresh.
+    suffice.  Work is counted in preconditioner applies (two per BiCGStab
+    iteration, one for a solve that ends at the half-step).  When a solve
+    on a kept factor needs more than ``REFACTOR_MARGIN`` applies beyond the
+    first solve on that factor, the next system is factored afresh.  When
+    BiCGStab fails within ``REUSE_MAX_ITER`` iterations on a kept factor,
+    the system is factored afresh and solved again; on a fresh factor it
+    raises ``IterativeBreakdown``.
     """
 
     # inner Krylov tolerance: inexact Newton directions are fine because the
     # outer iteration always re-evaluates the true nonlinear residual
     RTOL = 1e-6
     REUSE_MAX_ITER = 24
+    REFACTOR_MARGIN = 4
 
     def __init__(self):
         self._factor = None
+        self._fresh_applies = 0  # applies of the first solve on the factor
 
     def _bicgstab(self, matrix, b):
         factor = self._factor
+        applies = 0
 
         def precondition(v):  # SuperLU wants the factor's own precision
+            nonlocal applies
+            applies += 1
             return factor.solve(v.astype(np.float32)).astype(float)
-
-        count = 0
-
-        def tick(_):
-            nonlocal count
-            count += 1
 
         x, info = spla.bicgstab(
             matrix, b, M=spla.LinearOperator(matrix.shape, precondition,
                                              dtype=float),
-            rtol=self.RTOL, atol=1e-300, maxiter=self.REUSE_MAX_ITER,
-            callback=tick)
-        return (x if info == 0 and np.isfinite(x).all() else None), count
+            rtol=self.RTOL, atol=1e-300, maxiter=self.REUSE_MAX_ITER)
+        return (x if info == 0 and np.isfinite(x).all() else None), applies
 
     def solve(self, matrix, b):
-        kept = self._factor is not None
-        if not kept:
+        fresh = self._factor is None
+        if fresh:
             self._factor = lu_factor(matrix)
-        x, count = self._bicgstab(matrix, b)
-        if x is None and kept:  # the kept factor went stale: refactor once
+        x, applies = self._bicgstab(matrix, b)
+        if x is None and not fresh:  # the kept factor went stale: refactor
+            self._factor = None  # release it before the new one is built
             self._factor = lu_factor(matrix)
-            x, count = self._bicgstab(matrix, b)
+            fresh = True
+            x, applies = self._bicgstab(matrix, b)
         if x is None:
             raise IterativeBreakdown(
                 f"BiCGStab on a fresh factor missed rtol {self.RTOL:g} "
                 f"within {self.REUSE_MAX_ITER} iterations")
-        if count > self.REUSE_MAX_ITER // 2:
+        if fresh:
+            self._fresh_applies = applies
+        elif applies > self._fresh_applies + self.REFACTOR_MARGIN:
             self._factor = None  # getting stale, refactor next time
         return x
 
@@ -263,6 +271,17 @@ def _newton(ops, rhs1, rhs2, b_data, state, cfg, pot, mesh_next,
     return result
 
 
+def _extrapolate(levels):
+    """Value at the next time level of the polynomial through ``levels``,
+    states at equally spaced times, newest first: the newest state for one
+    level, ``2 x_n - x_(n-1)`` for two, ``3 x_n - 3 x_(n-1) + x_(n-2)``
+    for three."""
+    weights = [(-1) ** k * comb(len(levels), k + 1)
+               for k in range(len(levels))]
+    return tuple(sum(w * getattr(s, name) for w, s in zip(weights, levels))
+                 for name in ("alpha", "beta"))
+
+
 def _newton_from(args, initial_guess, context):
     """Newton from ``initial_guess`` when one is given, and from the
     previous state when none is or when the guess diverges."""
@@ -279,15 +298,16 @@ def step_fully_implicit(mesh_prev, mesh_next, state, cfg, pot,
     """One backward-Euler step with the whole well treated implicitly.
 
     Newton starts from ``initial_guess`` when one is given and from the
-    previous time level when none is or when the guess diverges.  For
-    timesteps above the uniqueness bound the iteration can fail in the
-    nonconvex residual landscape, so the step falls back to better warm
-    starts: first the implicit-explicit solution of the same step (its
-    monotone implicit part solves reliably), then two recursive half-steps
-    whose endpoint approximates the full-step solution to second order in
-    tau.  The system Newton finally converges on is the full-tau fully
-    implicit one in every case; if no warm start reaches it the divergence
-    is reported.
+    previous time level when none is or when the guess diverges;
+    ``run_simulation`` passes the extrapolant of the last time levels where
+    each step has one solution.  For timesteps above the uniqueness bound
+    the iteration can fail in the nonconvex residual landscape, so the
+    step falls back to better warm starts: first the implicit-explicit
+    solution of the same step (its monotone implicit part solves
+    reliably), then two recursive half-steps whose endpoint approximates
+    the full-step solution to second order in tau.  The system Newton
+    finally converges on is the full-tau fully implicit one in every case;
+    if no warm start reaches it the divergence is reported.
     """
     _check_state(mesh_prev, state)
     ops_prev = assemble_operators(mesh_prev)
@@ -324,7 +344,8 @@ def step_imex(mesh_prev, mesh_next, state, cfg, pot, initial_guess=None,
     """One convex-concave splitting step: convex part implicit, concave
     quadratic explicit at the previous time level.  Newton starts as in
     ``step_fully_implicit``; the implicit part is convex, so every start
-    leads to the one solution."""
+    leads to the one solution and ``run_simulation`` always passes the
+    extrapolant."""
     _check_state(mesh_prev, state)
     ops_prev = assemble_operators(mesh_prev)
     ops = assemble_operators(mesh_next)
@@ -417,24 +438,23 @@ def run_simulation(cfg, mesh, alpha0, pot, *, snapshot_every=0):
     t0 = mesh.current_time
     state = PhaseState(alpha0, chemical_potential_for(mesh, alpha0, cfg, pot),
                        time=t0, step=0)
-    previous = None
+    levels = [state]  # the last three time levels, newest first
     records = [_record(mesh, state, cfg, pot)]
     snapshots = [(mesh, state)] if snapshot_every > 0 else []
 
     for n in range(1, n_steps + 1):
         mesh_next = advance_mesh(mesh, t0 + n * cfg.tau)
-        guess = None
-        if extrapolate and previous is not None:
-            guess = (2.0 * state.alpha - previous.alpha,
-                     2.0 * state.beta - previous.beta)
+        # with one level the extrapolant is the previous state, the default
+        guess = (_extrapolate(levels) if extrapolate and len(levels) > 1
+                 else None)
         try:
-            previous, state = state, stepper(mesh, mesh_next, state, cfg, pot,
-                                             initial_guess=guess,
-                                             context=context)
+            state = stepper(mesh, mesh_next, state, cfg, pot,
+                            initial_guess=guess, context=context)
         except EscherError as exc:  # args hold one message by construction
             exc.args = (f"step {n} (t={t0 + n * cfg.tau:g}): {exc}",)
             raise
         mesh = mesh_next
+        levels = [state, *levels[:2]]
         records.append(_record(mesh, state, cfg, pot))
         if snapshot_every > 0 and n % snapshot_every == 0:
             snapshots.append((mesh, state))

@@ -80,6 +80,19 @@ class TestSolveSparse:
             solve_sparse(A, np.ones(2))
 
 
+class CountingFactor:
+    """A factor whose ``solve`` counts its calls: one per preconditioner
+    apply."""
+
+    def __init__(self, factor):
+        self.factor = factor
+        self.solves = 0
+
+    def solve(self, v):
+        self.solves += 1
+        return self.factor.solve(v)
+
+
 class TestLinearContext:
     """The Newton linear solver: BiCGStab preconditioned with one float32 LU
     factor in the block layout's order, reused until it goes stale."""
@@ -94,6 +107,21 @@ class TestLinearContext:
 
         monkeypatch.setattr(solver, "lu_factor", counting)
         return calls
+
+    @pytest.fixture
+    def factors(self, monkeypatch):
+        made = []
+
+        def counting(matrix):
+            made.append(CountingFactor(lu_factor(matrix)))
+            return made[-1]
+
+        monkeypatch.setattr(solver, "lu_factor", counting)
+        return made
+
+    @pytest.fixture(scope="class")
+    def mesh642(self):
+        return build_icosphere(OscillatingSphere(), 3)
 
     @staticmethod
     def block(mesh, tau, eps=0.05, theta=1.0, jac=None):
@@ -139,6 +167,76 @@ class TestLinearContext:
         x = context.solve(far, b)
         assert len(factor_calls) == 2 and factor_calls[-1] is far
         assert self.relative_residual(far, x, b) <= LinearContext.RTOL
+
+    def test_stale_factor_released_before_refactor(self, sphere_mesh,
+                                                   monkeypatch):
+        # a kept factor that fails is dropped before its successor is built,
+        # so two factors are never alive at once
+        context = LinearContext()
+        held = []
+
+        def checking(matrix):
+            held.append(context._factor)
+            return lu_factor(matrix)
+
+        monkeypatch.setattr(solver, "lu_factor", checking)
+        b = np.random.default_rng(4).normal(size=2 * sphere_mesh.node_count)
+        context.solve(self.block(sphere_mesh, 1e-4), b)
+        context.solve(self.block(sphere_mesh, 1.0, eps=1.0, theta=0.0), b)
+        assert len(held) == 2
+        assert all(factor is None for factor in held)
+
+    def test_one_matrix_factors_once(self, mesh642, factor_calls):
+        matrix = self.block(mesh642, 1e-4)
+        context = LinearContext()
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            b = rng.normal(size=matrix.shape[0])
+            x = context.solve(matrix, b)
+            assert self.relative_residual(matrix, x, b) <= LinearContext.RTOL
+        assert len(factor_calls) == 1
+
+    def test_drift_refactors_past_the_margin(self, mesh642, factors):
+        # tau grows 20% a solve: the kept factor needs more applies each
+        # time, and a system is factored afresh exactly after a solve that
+        # took more than REFACTOR_MARGIN applies beyond the fresh one
+        context = LinearContext()
+        rng = np.random.default_rng(0)
+        stale = True  # the first solve factors
+        for k in range(9):
+            matrix = self.block(mesh642, 1e-4 * 1.2**k)
+            b = rng.normal(size=matrix.shape[0])
+            made, before = len(factors), sum(f.solves for f in factors)
+            x = context.solve(matrix, b)
+            applies = sum(f.solves for f in factors) - before
+            assert self.relative_residual(matrix, x, b) <= LinearContext.RTOL
+            assert len(factors) - made == int(stale), k
+            if stale:
+                fresh = applies
+            stale = applies > fresh + LinearContext.REFACTOR_MARGIN
+        assert len(factors) >= 3  # the rule fired at least twice
+
+    def test_counted_applies_are_preconditioner_calls(self, mesh642):
+        # a diagonal of small integers factors exactly in float32, so
+        # BiCGStab ends at the half-step of its first iteration, before any
+        # callback; a factor kept for drifting block matrices needs several
+        # iterations
+        diagonal = sp.diags(np.arange(1.0, 9.0)).tocsc()
+        kept = self.block(mesh642, 1e-4)
+        cases = [(diagonal, diagonal)] + [
+            (kept, self.block(mesh642, 1e-4 * 1.2**k)) for k in range(4)]
+        rng = np.random.default_rng(5)
+        counted = []
+        for factored, system in cases:
+            context = LinearContext()
+            context._factor = CountingFactor(lu_factor(factored))
+            x, applies = context._bicgstab(
+                system, rng.normal(size=system.shape[0]))
+            assert x is not None
+            assert applies == context._factor.solves
+            counted.append(applies)
+        assert counted[0] == 1
+        assert max(counted) > 2
 
     def test_singular_matrix(self):
         A = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
@@ -228,15 +326,28 @@ class TestSteps:
         npt.assert_allclose(result.final_state.beta, 0.0, atol=1e-12)
 
     def test_newton_iteration_budget(self, pot):
-        # tau = 1e-4 with extrapolated initial guesses (the previous state
-        # on the first step) stays comfortably within eight iterations
-        # per step
+        # tau = 1e-4 is below the uniqueness bound, so Newton starts from the
+        # previous state on step 1 and from the extrapolant of the last two
+        # or three time levels after; no step takes more than 3 iterations,
+        # well within eight
         mesh = build_icosphere(OscillatingSphere(), 2)
         cfg = SchemeConfig(eps=0.05, tau=1e-4, t_end=2e-3)
         alpha = initial_data_interpolate(mesh, sphere_eoc_initial)
         result = run_simulation(cfg, mesh, alpha, pot)
         iters = [r.newton_iters for r in result.records[1:]]
         assert max(iters) <= 8
+
+    def test_extrapolated_start_saves_iterations(self, pot):
+        # the quadratic extrapolant lands within newton_tol after one
+        # iteration once the trajectory is smooth: 49 iterations over 40
+        # steps, where the linear extrapolant took 2 a step (80)
+        mesh = build_icosphere(OscillatingSphere(), 3)
+        cfg = SchemeConfig(eps=0.1, tau=1e-4, t_end=4e-3)
+        assert cfg.tau < cfg.uniqueness_bound(pot)
+        alpha = initial_data_interpolate(mesh, sphere_eoc_initial)
+        result = run_simulation(cfg, mesh, alpha, pot)
+        assert len(result.records) == 41
+        assert sum(r.newton_iters for r in result.records[1:]) <= 60
 
     def test_newton_divergence_is_reported(self, sphere_mesh, pot):
         cfg = SchemeConfig(eps=0.05, tau=1e-4, t_end=1e-3, newton_max_iter=1,
@@ -293,8 +404,9 @@ class TestSteps:
 
 
 class TestExtrapolatedStart:
-    """``run_simulation`` starts Newton from 2 x_n - x_(n-1) where each
-    step has one solution; the start must not change what is solved."""
+    """``run_simulation`` starts Newton from 2 x_n - x_(n-1) on step 2 and
+    from 3 x_n - 3 x_(n-1) + x_(n-2) after, where each step has one
+    solution; the start must not change what is solved."""
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
@@ -306,21 +418,26 @@ class TestExtrapolatedStart:
         cfg = SchemeConfig(eps=0.05, tau=1.0, t_end=1.0, scheme=scheme)
         top = (0.9 * cfg.uniqueness_bound(pot) if scheme == FULLY_IMPLICIT
                else 1e-2)
-        cfg = replace(cfg, tau=fraction * top, t_end=3 * fraction * top)
+        cfg = replace(cfg, tau=fraction * top, t_end=4 * fraction * top)
         alpha0 = smooth_random_pm_data(mesh, seed)
         result = run_simulation(cfg, mesh, alpha0, pot, snapshot_every=1)
 
-        (_, s0), (m1, s1), (m2, s2) = result.snapshots[:3]
-        guess = (2 * s1.alpha - s0.alpha, 2 * s1.beta - s0.beta)
+        (_, s0), (m1, s1), (m2, s2), (m3, s3) = result.snapshots[:4]
         stepper = solver._STEPPERS[scheme]
-        with mock.patch.object(solver, "_newton",
-                               wraps=solver._newton) as newton:
-            extrapolated = stepper(m1, m2, s1, cfg, pot, initial_guess=guess)
-        assert newton.call_count == 1  # the extrapolant converged
-        previous = stepper(m1, m2, s1, cfg, pot)
-        for out in (extrapolated, s2):
-            assert np.abs(out.alpha - previous.alpha).max() <= 1e-9
-            assert np.abs(out.beta - previous.beta).max() <= 1e-9
+        for (mesh_prev, mesh_next, state, ran, guess) in (
+                (m1, m2, s1, s2, (2 * s1.alpha - s0.alpha,
+                                  2 * s1.beta - s0.beta)),
+                (m2, m3, s2, s3, (3 * s2.alpha - 3 * s1.alpha + s0.alpha,
+                                  3 * s2.beta - 3 * s1.beta + s0.beta))):
+            with mock.patch.object(solver, "_newton",
+                                   wraps=solver._newton) as newton:
+                extrapolated = stepper(mesh_prev, mesh_next, state, cfg, pot,
+                                       initial_guess=guess)
+            assert newton.call_count == 1  # the extrapolant converged
+            previous = stepper(mesh_prev, mesh_next, state, cfg, pot)
+            for out in (extrapolated, ran):
+                assert np.abs(out.alpha - previous.alpha).max() <= 1e-9
+                assert np.abs(out.beta - previous.beta).max() <= 1e-9
 
         masses = np.array([r.mass for r in result.records])
         assert np.abs(np.diff(masses)).max() <= (
