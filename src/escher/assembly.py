@@ -225,11 +225,11 @@ def assemble_nonlinear_load(mesh, alpha, pot, degree=NONLINEAR_QUAD_DEGREE):
                        minlength=mesh.node_count)
 
 
-def assemble_nonlinear_jacobian(mesh, alpha, pot, degree=NONLINEAR_QUAD_DEGREE):
+def assemble_nonlinear_jacobian(mesh, alpha, pot):
     """Jacobian of the nonlinear load: entries ``integral F1''(U_h) phi_i phi_j``."""
     alpha = _check_length(mesh, alpha)
     areas = element_geometry(mesh).areas
-    rule = quadrature_rule(degree)
+    rule = quadrature_rule(NONLINEAR_QUAD_DEGREE)
     lam, w = rule.points, rule.weights
     u_q = alpha[mesh.triangles] @ lam.T
     coeff = pot.d2f1(u_q) * w
@@ -239,11 +239,11 @@ def assemble_nonlinear_jacobian(mesh, alpha, pot, degree=NONLINEAR_QUAD_DEGREE):
     return _pattern(mesh).assemble(areas[:, None, None] * local)
 
 
-def integrate_composed(mesh, alpha, func, degree=NONLINEAR_QUAD_DEGREE):
+def integrate_composed(mesh, alpha, func):
     """Quadrature of ``func(U_h)`` over the triangulated surface."""
     alpha = _check_length(mesh, alpha)
     areas = element_geometry(mesh).areas
-    rule = quadrature_rule(degree)
+    rule = quadrature_rule(NONLINEAR_QUAD_DEGREE)
     u_q = alpha[mesh.triangles] @ rule.points.T
     return float(areas @ (func(u_q) @ rule.weights))
 

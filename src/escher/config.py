@@ -71,13 +71,13 @@ class RunConfig:
     def build_surface(self):
         return make_surface(self.surface_kind, **self.surface_params)
 
-    def build_mesh(self, surface=None, t0=0.0):
+    def build_mesh(self, surface=None):
         from .meshing import build_icosphere, build_torus_mesh
 
         surface = surface or self.build_surface()
         if surface.family == "sphere":
-            return build_icosphere(surface, self.subdivisions, t0)
-        return build_torus_mesh(surface, self.n_major, self.n_minor, t0)
+            return build_icosphere(surface, self.subdivisions)
+        return build_torus_mesh(surface, self.n_major, self.n_minor)
 
     def build_potential(self):
         return quartic_potential(theta=self.theta)
@@ -122,7 +122,14 @@ def validate_config(cfg):
         raise ValidationError("theta", "must be finite and nonnegative")
     if cfg.snapshot_every < 0:
         raise ValidationError("output.snapshot_every", "must be >= 0")
+    out = str(cfg.output_dir)
+    # the value must survive emit_config: one line, no comment, no padding
+    if out.splitlines() != [out] or "#" in out or out != out.strip():
+        raise ValidationError("output.dir", "must be one line, no '#' or padding")
     try:
+        for name, value in cfg.surface_params.items():
+            if not math.isfinite(value):
+                raise ValidationError(f"surface.{name}", "must be finite")
         cfg.build_surface()
     except (TypeError, ValueError) as exc:
         raise ValidationError("surface", str(exc)) from exc

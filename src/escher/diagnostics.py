@@ -26,15 +26,13 @@ class DiagnosticRecord:
     h: float
     newton_iters: int
 
-    CSV_COLUMNS = ("step", "time", "energy", "mass", "area", "h", "newton_iters")
 
-
-def ginzburg_landau_energy(mesh, alpha, pot, eps, degree=4):
+def ginzburg_landau_energy(mesh, alpha, pot, eps):
     """Interfacial energy (eps/2) |grad U|^2 + F(U)/eps over the surface."""
     ops = assemble_operators(mesh)
     alpha = np.asarray(alpha, dtype=float)
     gradient_part = 0.5 * eps * alpha @ (ops.A @ alpha)
-    well_part = integrate_composed(mesh, alpha, pot.full, degree=degree) / eps
+    well_part = integrate_composed(mesh, alpha, pot.full) / eps
     return float(gradient_part + well_part)
 
 

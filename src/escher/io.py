@@ -3,9 +3,11 @@
 VTK files are legacy 2.0 ASCII POLYDATA with triangle polygons and named
 scalar point-data arrays written at 17 significant digits.  CSV files use
 full double precision with '.' as the decimal separator; diagnostics
-columns are ``step,time,energy,mass,area,h,newton_iters`` and EOC tables
+tables have one column per field of ``DiagnosticRecord`` and EOC tables
 are ``h,error,eoc`` with an empty order on the first row.
 """
+
+from dataclasses import fields
 
 import numpy as np
 
@@ -50,14 +52,14 @@ def write_vtk(mesh, arrays, path):
 
 def write_diagnostics_csv(records, path):
     """Diagnostic trajectory as CSV, one row per recorded step."""
+    columns = [(c.name, _fmt if c.type is float else str)
+               for c in fields(DiagnosticRecord)]
     try:
         with open(path, "w", encoding="ascii") as fh:
-            fh.write(",".join(DiagnosticRecord.CSV_COLUMNS) + "\n")
+            fh.write(",".join(name for name, _ in columns) + "\n")
             for r in records:
-                fh.write(
-                    f"{r.step},{_fmt(r.time)},{_fmt(r.energy)},{_fmt(r.mass)},"
-                    f"{_fmt(r.area)},{_fmt(r.h)},{r.newton_iters}\n"
-                )
+                fh.write(",".join(fmt(getattr(r, name))
+                                  for name, fmt in columns) + "\n")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 

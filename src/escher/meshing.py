@@ -87,25 +87,25 @@ class SurfaceMesh:
         )
 
 
-def build_icosphere(surface, subdivisions, t0=0.0):
+def build_icosphere(surface, subdivisions):
     """Icosahedron subdivided ``subdivisions`` times, nodes projected onto
-    the zero set at ``t0``.  Node count 10*4**s + 2, triangle count 20*4**s."""
+    the zero set at t = 0.  Node count 10*4**s + 2, triangle count 20*4**s."""
     if surface.family != "sphere":
         raise WrongSurfaceKind(f"icosphere needs a sphere kind, got {surface.kind}")
     if subdivisions < 0:
         raise ValueError("subdivisions must be >= 0")
-    nodes = surface.project(_ICO_VERTS, t0)
-    mesh = SurfaceMesh(nodes, _ICO_FACES, surface, t0)
+    nodes = surface.project(_ICO_VERTS, 0.0)
+    mesh = SurfaceMesh(nodes, _ICO_FACES, surface)
     for _ in range(subdivisions):
         mesh = refine(mesh)
-    return SurfaceMesh(mesh.nodes, mesh.triangles, surface, t0)
+    return SurfaceMesh(mesh.nodes, mesh.triangles, surface)
 
 
-def build_torus_mesh(surface, n_major, n_minor, t0=0.0):
+def build_torus_mesh(surface, n_major, n_minor):
     """Structured angular grid on a torus, each quad split into two triangles.
 
     Node count n_major*n_minor, triangle count 2*n_major*n_minor; all nodes
-    lie exactly on the zero set at ``t0``.
+    lie exactly on the zero set at t = 0.
     """
     if surface.family != "torus":
         raise WrongSurfaceKind(f"torus mesh needs a torus kind, got {surface.kind}")
@@ -114,7 +114,7 @@ def build_torus_mesh(surface, n_major, n_minor, t0=0.0):
     theta = 2.0 * np.pi * np.arange(n_major) / n_major
     psi = 2.0 * np.pi * np.arange(n_minor) / n_minor
     TH, PS = np.meshgrid(theta, psi, indexing="ij")
-    nodes = surface._emit((TH.ravel(), PS.ravel()), t0)
+    nodes = surface._emit((TH.ravel(), PS.ravel()), 0.0)
 
     i = np.repeat(np.arange(n_major), n_minor)
     j = np.tile(np.arange(n_minor), n_major)
@@ -123,7 +123,7 @@ def build_torus_mesh(surface, n_major, n_minor, t0=0.0):
     c = ((i + 1) % n_major) * n_minor + (j + 1) % n_minor
     d = i * n_minor + (j + 1) % n_minor
     tris = np.vstack([np.column_stack([a, b, c]), np.column_stack([a, c, d])])
-    return SurfaceMesh(nodes, tris, surface, t0)
+    return SurfaceMesh(nodes, tris, surface)
 
 
 def refine(mesh):

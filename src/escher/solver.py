@@ -191,84 +191,75 @@ def _newton(ops, rhs1, rhs2, b_data, state, cfg, pot, mesh_next,
     """Solve the block system by Newton; returns the state at the new time.
 
     ``b_data`` holds the (2,1) block B of the linear part on the pattern of
-    M and A; the residual is
+    M and A; on the iterate ``x = [a; b]`` the residual is
 
         G1 = M a + tau A b - rhs1
         G2 = B a + M b - (1/eps) F(a) - rhs2
 
-    Full Newton steps are tried first: near the solvability fold of the
-    fully implicit scheme the residual must be allowed to rise transiently,
-    where a monotone line search provably stalls at local minima.  If the
-    undamped iteration blows up or runs out of budget, a damped
-    backtracking pass retries from the initial guess.
+    One loop runs two passes from the initial guess, each a line search
+    along the Newton direction.  The undamped pass tries only the full step
+    and accepts it while the residual stays finite and below
+    ``1e6 (res0 + 1)``: near the solvability fold of the fully implicit
+    scheme the residual must be allowed to rise transiently, where a
+    monotone line search provably stalls at local minima.  When it leaves
+    that ceiling or its budget, the damped pass tries steps 1, 1/2, ...,
+    2^-11 and accepts the first that lowers the residual or meets the
+    tolerance.  ``newton_max_iter`` bounds the updates of each pass, and the
+    residual after every update, the last included, is tested against
+    ``newton_tol``.
     """
     M, A = ops.M, ops.A
+    n = ops.node_count
     tau, eps = cfg.tau, cfg.eps
     layout = block_layout(mesh_next)
     b_matrix = sp.csr_matrix((b_data, M.indices, M.indptr), shape=M.shape)
     if context is None:
         context = LinearContext()
-
     if initial_guess is None:
-        guess = (state.alpha.copy(), state.beta.copy())
-    else:
-        guess = tuple(np.array(v, dtype=float) for v in initial_guess)
+        initial_guess = (state.alpha, state.beta)
+    guess = np.concatenate(initial_guess, dtype=float)
 
-    def residual(a, b):
-        g1 = M @ a + tau * (A @ b) - rhs1
-        g2 = (b_matrix @ a + M @ b
-              - assemble_nonlinear_load(mesh_next, a, pot) / eps - rhs2)
-        return max(np.abs(g1).max(), np.abs(g2).max()), g1, g2
+    def residual(x):
+        a, b = x[:n], x[n:]
+        g = np.concatenate([
+            M @ a + tau * (A @ b) - rhs1,
+            (b_matrix @ a + M @ b
+             - assemble_nonlinear_load(mesh_next, a, pot) / eps - rhs2)])
+        return np.abs(g).max(), g
 
-    def jacobian(a):
-        jac_f = assemble_nonlinear_jacobian(mesh_next, a, pot)
-        return layout.matrix((M.data, tau * A.data,
-                              b_data - jac_f.data / eps, M.data))
-
-    def iterate(damped):
-        alpha, beta = (v.copy() for v in guess)
-        res, g1, g2 = residual(alpha, beta)
+    for damped in (False, True):
+        x = guess
+        res, g = residual(x)
         history = [res]
         ceiling = 1e6 * (res + 1.0)
-        for iteration in range(1, cfg.newton_max_iter + 1):
+        for _ in range(cfg.newton_max_iter):
             if res <= cfg.newton_tol:
-                return PhaseState(alpha, beta, time=mesh_next.current_time,
-                                  step=state.step + 1,
-                                  newton_iters=iteration - 1,
-                                  residual_history=tuple(history))
-            delta = np.empty(2 * ops.node_count)
+                break
+            jac_f = assemble_nonlinear_jacobian(mesh_next, x[:n], pot)
+            delta = np.empty(2 * n)
             delta[layout.order] = context.solve(
-                jacobian(alpha), -np.concatenate([g1, g2])[layout.order])
-            da, db = delta[: ops.node_count], delta[ops.node_count:]
-            if damped:
-                lam, accepted = 1.0, None
-                for _ in range(12):
-                    trial = residual(alpha + lam * da, beta + lam * db)
-                    if trial[0] < res or trial[0] <= cfg.newton_tol:
-                        accepted = trial
-                        break
-                    lam *= 0.5
-                if accepted is None:
-                    return None  # stalled: no descent along the direction
-                alpha, beta = alpha + lam * da, beta + lam * db
-                res, g1, g2 = accepted
+                layout.matrix((M.data, tau * A.data,
+                               b_data - jac_f.data / eps, M.data)),
+                -g[layout.order])
+            limit = res if damped else ceiling
+            for lam in 0.5 ** np.arange(12 if damped else 1):
+                trial = x + lam * delta
+                trial_res, trial_g = residual(trial)
+                if trial_res < limit or trial_res <= cfg.newton_tol:
+                    break
             else:
-                alpha, beta = alpha + da, beta + db
-                res, g1, g2 = residual(alpha, beta)
-                if not np.isfinite(res) or res > ceiling:
-                    return None  # undamped iteration left the basin
+                break  # no acceptable step along the direction
+            x, res, g = trial, trial_res, trial_g
             history.append(res)
-        return None
-
-    result = iterate(damped=False)
-    if result is None:
-        result = iterate(damped=True)
-    if result is None:
-        raise NewtonDivergence(
-            f"no convergence to {cfg.newton_tol:g} within "
-            f"{cfg.newton_max_iter} undamped or damped iterations"
-        )
-    return result
+        if res <= cfg.newton_tol:
+            return PhaseState(x[:n], x[n:], time=mesh_next.current_time,
+                              step=state.step + 1,
+                              newton_iters=len(history) - 1,
+                              residual_history=tuple(history))
+    raise NewtonDivergence(
+        f"no convergence to {cfg.newton_tol:g} within "
+        f"{cfg.newton_max_iter} undamped or damped iterations"
+    )
 
 
 def _extrapolate(levels):

@@ -118,6 +118,15 @@ def test_config_error_exit_code(tmp_path):
     assert main(["run", str(path)]) == 2
 
 
+@pytest.mark.parametrize("command", ["run", "mesh-info"])
+def test_non_finite_surface_value_exit_code(tmp_path, capsys, command):
+    # a configuration fault, caught before any mesh is built or solved
+    cfg, out = write_config(tmp_path, SMOKE_RUN, **{"surface.radius": "nan"})
+    assert main([command, str(cfg)]) == 2
+    assert "surface.radius" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_file_exit_code(tmp_path):
     assert main(["run", str(tmp_path / "absent.cfg")]) == 2
 
@@ -149,7 +158,8 @@ newton.max_iter = 1
 output.dir = {out}
 """
     cfg, _ = write_config(tmp_path, text)
-    assert main(["run", str(cfg)]) == 3
+    with pytest.warns(RuntimeWarning, match="multiple solutions"):
+        assert main(["run", str(cfg)]) == 3
 
 
 def test_eoc_smoke(tmp_path, capsys):

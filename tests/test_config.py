@@ -2,15 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from escher.config import (
+    INITIAL_DATA,
     RunConfig,
     emit_config,
     parse_config,
     sphere_eoc_initial,
     torus_initial,
+    validate_config,
 )
 from escher.errors import ParseError, ValidationError
+from escher.solver import SCHEMES
 
 MINIMAL_SPHERE = """
 surface.kind = oscillating_sphere
@@ -136,6 +141,79 @@ def test_round_trip_with_surface_params():
     cfg = parse_config(text)
     assert cfg.surface_params == {"radius": 1.25}
     assert cfg.build_surface().radius == 1.25
+    assert parse_config(emit_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("kind, name, value", [
+    ("static_sphere", "radius", "nan"),
+    ("oscillating_sphere", "amplitude", "inf"),
+    ("constant_area_torus", "major", "nan"),
+    ("periodic_torus", "omega", "-inf"),
+])
+def test_non_finite_surface_value_rejected(kind, name, value):
+    text = MINIMAL_SPHERE.replace("oscillating_sphere", kind)
+    with pytest.raises(ValidationError) as err:
+        parse_config(text + f"surface.{name} = {value}\n")
+    assert err.value.field == f"surface.{name}"
+
+
+@pytest.mark.parametrize("output_dir", [
+    "", "runs#1", "runs\n1", "runs\r", " runs", "runs\t",
+])
+def test_output_dir_outside_the_grammar_rejected(output_dir):
+    # parse_config(emit_config(cfg)) could not read these back
+    with pytest.raises(ValidationError) as err:
+        validate_config(RunConfig(output_dir=output_dir))
+    assert err.value.field == "output.dir"
+
+
+# per surface kind, parameter ranges that make a valid surface
+SURFACE_PARAMS = {
+    "oscillating_sphere": {"base": (1.0, 2.0), "amplitude": (-0.5, 0.5),
+                           "omega": (0.0, 100.0)},
+    "static_sphere": {"radius": (0.1, 10.0)},
+    "constant_area_torus": {"major": (0.5, 2.0), "minor": (0.1, 0.4),
+                            "rate": (0.0, 2.0)},
+    "periodic_torus": {"major": (0.5, 2.0), "minor": (0.2, 0.4),
+                       "amplitude": (-0.1, 0.1), "omega": (0.0, 100.0)},
+}
+
+
+@st.composite
+def run_configs(draw):
+    kind = draw(st.sampled_from(sorted(SURFACE_PARAMS)))
+    params = {name: draw(st.floats(low, high))
+              for name, (low, high) in SURFACE_PARAMS[kind].items()
+              if draw(st.booleans())}
+    tau = draw(st.floats(1e-6, 1e-1))
+    return RunConfig(
+        surface_kind=kind,
+        surface_params=params,
+        subdivisions=draw(st.integers(0, 6)),
+        n_major=draw(st.integers(3, 200)),
+        n_minor=draw(st.integers(3, 200)),
+        eps=draw(st.floats(1e-3, 10.0)),
+        theta=draw(st.floats(0.0, 10.0)),
+        tau=tau,
+        t_end=draw(st.integers(0, 1000)) * tau,
+        scheme=draw(st.sampled_from(SCHEMES)),
+        initial=draw(st.sampled_from(INITIAL_DATA)),
+        initial_value=draw(st.floats(-10.0, 10.0)),
+        newton_tol=draw(st.floats(1e-14, 1e-2)),
+        newton_max_iter=draw(st.integers(1, 100)),
+        output_dir=draw(st.text(max_size=12)),
+        snapshot_every=draw(st.integers(0, 100)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=run_configs())
+def test_round_trip_property(cfg):
+    # every configuration that validates is read back exactly
+    try:
+        validate_config(cfg)
+    except ValidationError:
+        assume(False)
     assert parse_config(emit_config(cfg)) == cfg
 
 

@@ -337,6 +337,23 @@ class TestSteps:
         iters = [r.newton_iters for r in result.records[1:]]
         assert max(iters) <= 8
 
+    @pytest.mark.parametrize("stepper", [step_fully_implicit, step_imex])
+    def test_budget_checks_its_last_update(self, sphere_mesh, pot, stepper):
+        # a step that converges in k updates under the default budget also
+        # converges, in one Newton call, when the budget is exactly k
+        cfg = SchemeConfig(eps=0.05, tau=1e-4, t_end=1e-3)
+        alpha = initial_data_interpolate(sphere_mesh, sphere_eoc_initial)
+        state = make_state(sphere_mesh, alpha, cfg, pot)
+        mesh_next = advance_mesh(sphere_mesh, cfg.tau)
+        k = stepper(sphere_mesh, mesh_next, state, cfg, pot).newton_iters
+        assert k >= 1
+        with mock.patch.object(solver, "_newton",
+                               wraps=solver._newton) as newton:
+            out = stepper(sphere_mesh, mesh_next, state,
+                          replace(cfg, newton_max_iter=k), pot)
+        assert newton.call_count == 1
+        assert out.newton_iters == k
+
     def test_extrapolated_start_saves_iterations(self, pot):
         # the quadratic extrapolant lands within newton_tol after one
         # iteration once the trajectory is smooth: 49 iterations over 40
