@@ -4,9 +4,9 @@ Assembles the mass matrix M, the (Laplace-Beltrami) stiffness matrix A, the
 nonlinear load vector with entries ``integral F1'(U_h) phi_j``, and its
 Jacobian with entries ``integral F1''(U_h) phi_i phi_j``.  Hat-function
 gradients are taken in each triangle's plane, so A is the standard
-cotangent-equivalent operator with ``A @ 1 = 0``.  Areas, hat gradients
-and edge lengths come from one geometry pass per mesh
-(``element_geometry``), which the mesh measures in ``meshing`` read too.
+cotangent-equivalent operator with ``A @ 1 = 0``.  Areas, edge lengths and
+element stiffness matrices come from one componentwise geometry pass per
+mesh (``element_geometry``), which the mesh measures in ``meshing`` read too.
 
 Everything is vectorised over triangles.  The scatter from element entries
 to CSR storage is precomputed once per connectivity and cached on the mesh,
@@ -52,7 +52,7 @@ class _Pattern:
         self.layout = None  # BlockLayout, built on first use
 
     def assemble(self, element_values):
-        """Sum (nt, 3, 3) element matrices into a CSR matrix."""
+        """Sum element matrices, (nt, 3, 3) or (nt, 9), into a CSR matrix."""
         data = np.bincount(self.slots, weights=element_values.ravel(),
                            minlength=self.nnz)
         return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
@@ -135,28 +135,41 @@ def block_layout(mesh):
 class Geometry(NamedTuple):
     """Per-triangle quantities of one mesh at one time."""
 
-    areas: np.ndarray    # (nt,)
-    grads: np.ndarray    # (nt, 3, 3): in-plane gradient of hat i
-    lengths: np.ndarray  # (nt, 3): length of the edge opposite vertex i
+    areas: np.ndarray      # (nt,)
+    stiffness: np.ndarray  # (nt, 9): area * grad phi_i . grad phi_j at 3i + j
+    lengths: np.ndarray    # (3, nt): length of the edge opposite vertex i
 
 
 def element_geometry(mesh):
-    """The mesh's one geometry pass, cached on it; raises DegenerateTriangle."""
+    """The mesh's one geometry pass on (3, nt) coordinate arrays, cached on
+    it; raises DegenerateTriangle.  Norms sum as (x + y) + z and dot products
+    as (x + z) + y, the orders of NumPy's vectorised norm and contraction."""
     geo = mesh._cache.get("geometry")
     if geo is None:
-        p = mesh.nodes[mesh.triangles]
-        cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-        doubled = np.linalg.norm(cross, axis=1)
+        x, y, z = (c[mesh.triangles.T] for c in mesh.nodes.T)
+        prev, succ = [2, 0, 1], [1, 2, 0]  # edge opposite vertex i
+        ex, ey, ez = x[prev] - x[succ], y[prev] - y[succ], z[prev] - z[succ]
+        # (p1 - p0) x (p2 - p0) = e1 x e2, twice the area along the normal
+        cx = ey[1] * ez[2] - ez[1] * ey[2]
+        cy = ez[1] * ex[2] - ex[1] * ez[2]
+        cz = ex[1] * ey[2] - ey[1] * ex[2]
+        doubled = np.sqrt((cx * cx + cy * cy) + cz * cz)
         areas = 0.5 * doubled
         if areas.min() <= DEGENERACY_TOL:
-            raise DegenerateTriangle(
-                f"triangle area {areas.min():.3e} <= {DEGENERACY_TOL:g}"
-            )
-        normals = cross / doubled[:, None]
-        # edge opposite vertex i, rotated into the plane: grad phi_i
-        edges = np.roll(p, 1, axis=1) - np.roll(p, 2, axis=1)
-        grads = np.cross(normals[:, None, :], edges) / doubled[:, None, None]
-        geo = Geometry(areas, grads, np.linalg.norm(edges, axis=2))
+            raise DegenerateTriangle(f"triangle area {areas.min():.3e} "
+                                     f"<= {DEGENERACY_TOL:g}")
+        nx, ny, nz = cx / doubled, cy / doubled, cz / doubled
+        # edge rotated into the plane: grad phi_i = (n x e_i) / doubled
+        gx = (ny * ez - nz * ey) / doubled
+        gy = (nz * ex - nx * ez) / doubled
+        gz = (nx * ey - ny * ex) / doubled
+        stiffness = np.empty((len(areas), 9))
+        for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
+            s = (gx[i] * gx[j] + gz[i] * gz[j]) + gy[i] * gy[j]
+            s *= areas
+            stiffness[:, 3 * i + j] = stiffness[:, 3 * j + i] = s
+        lengths = np.sqrt((ex * ex + ey * ey) + ez * ez)
+        geo = Geometry(areas, stiffness, lengths)
         mesh._cache["geometry"] = geo
     return geo
 
@@ -172,9 +185,7 @@ def assemble_mass(mesh):
 
 def assemble_stiffness(mesh):
     """Stiffness of the surface gradient; symmetric PSD with A @ 1 = 0."""
-    areas, grads, _ = element_geometry(mesh)
-    local = np.einsum("tid,tjd->tij", grads, grads)
-    return _pattern(mesh).assemble(areas[:, None, None] * local)
+    return _pattern(mesh).assemble(element_geometry(mesh).stiffness)
 
 
 @dataclass(frozen=True)

@@ -120,6 +120,8 @@ def validate_config(cfg):
             raise ValidationError(f"mesh.{key}", "torus grid needs >= 3 each way")
     if not math.isfinite(cfg.theta) or cfg.theta < 0.0:
         raise ValidationError("theta", "must be finite and nonnegative")
+    if not math.isfinite(cfg.initial_value):
+        raise ValidationError("initial.value", "must be finite")
     if cfg.snapshot_every < 0:
         raise ValidationError("output.snapshot_every", "must be >= 0")
     out = str(cfg.output_dir)

@@ -194,9 +194,9 @@ def surface_area(mesh):
 
 def mesh_quality(mesh):
     """Quasi-uniformity proxy: min over triangles of inradius / h."""
-    areas, _, lengths = element_geometry(mesh)
-    inradius = areas / (0.5 * lengths.sum(axis=1))
-    return float(inradius.min() / lengths.max())
+    geo = element_geometry(mesh)
+    inradius = geo.areas / (0.5 * geo.lengths.sum(axis=0))
+    return float(inradius.min() / geo.lengths.max())
 
 
 def validate_mesh(mesh):

@@ -161,6 +161,8 @@ class ConstantAreaTorus(_TorusBase):
     kind = "constant_area_torus"
 
     def __init__(self, major=0.75, minor=0.25, rate=4.0 / 3.0):
+        if not 0.0 < minor < major:
+            raise ValueError("radii must satisfy 0 < minor < major")
         self.major = float(major)
         self.minor = float(minor)
         self.rate = float(rate)
@@ -176,8 +178,8 @@ class PeriodicTorus(_TorusBase):
     kind = "periodic_torus"
 
     def __init__(self, major=0.75, minor=0.25, amplitude=0.1, omega=20.0 * np.pi):
-        if minor - abs(amplitude) <= 0.0:
-            raise ValueError("minor radius must stay positive for all t")
+        if not abs(amplitude) < minor < major - abs(amplitude):
+            raise ValueError("minor radius must stay in (0, major) for all t")
         self.major = float(major)
         self.minor = float(minor)
         self.amplitude = float(amplitude)

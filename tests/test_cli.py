@@ -127,6 +127,28 @@ def test_non_finite_surface_value_exit_code(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_non_finite_initial_value_exit_code(tmp_path, capsys):
+    # a configuration fault, not a singular factor in the first step
+    text = SMOKE_RUN.replace("initial = sphere_eoc", "initial = constant")
+    cfg, out = write_config(tmp_path, text, **{"initial.value": "nan"})
+    assert main(["run", str(cfg)]) == 2
+    assert "initial.value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, radii", [
+    ("constant_area_torus", {"surface.major": 0.2, "surface.minor": 0.5}),
+    ("periodic_torus", {"surface.minor": 0.5, "surface.amplitude": 0.25}),
+])
+def test_torus_radii_exit_code(tmp_path, capsys, kind, radii):
+    # a tube that reaches the axis: self-intersecting, caught before any mesh
+    cfg, out = write_config(tmp_path, TORUS_RUN.replace("constant_area_torus", kind),
+                            **radii)
+    assert main(["run", str(cfg)]) == 2
+    assert "surface" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_file_exit_code(tmp_path):
     assert main(["run", str(tmp_path / "absent.cfg")]) == 2
 

@@ -91,6 +91,7 @@ def test_removed_keys_are_unknown(key):
 @pytest.mark.parametrize("key, value", [
     ("T", "inf"), ("T", "nan"), ("newton.tol", "nan"), ("newton.tol", "inf"),
     ("theta", "nan"), ("theta", "inf"), ("eps", "nan"), ("tau", "inf"),
+    ("initial.value", "nan"), ("initial.value", "inf"), ("initial.value", "-inf"),
 ])
 def test_non_finite_values_rejected(key, value):
     with pytest.raises(ValidationError) as err:
@@ -155,6 +156,19 @@ def test_non_finite_surface_value_rejected(kind, name, value):
     with pytest.raises(ValidationError) as err:
         parse_config(text + f"surface.{name} = {value}\n")
     assert err.value.field == f"surface.{name}"
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("constant_area_torus", {"major": 0.2, "minor": 0.5}),
+    ("constant_area_torus", {"minor": -0.25}),
+    ("periodic_torus", {"minor": 0.5, "amplitude": 0.25}),
+])
+def test_torus_radii_rejected(kind, params):
+    text = TORUS_EXPERIMENT.replace("constant_area_torus", kind)
+    text += "".join(f"surface.{name} = {value}\n" for name, value in params.items())
+    with pytest.raises(ValidationError) as err:
+        parse_config(text)
+    assert err.value.field == "surface"
 
 
 @pytest.mark.parametrize("output_dir", [

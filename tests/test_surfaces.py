@@ -158,3 +158,25 @@ def test_factory_round_trip():
     assert isinstance(s, StaticSphere) and s.radius == 2.0
     with pytest.raises(ValueError):
         make_surface("klein_bottle")
+
+
+@pytest.mark.parametrize("cls, params", [
+    (ConstantAreaTorus, {"major": 0.2, "minor": 0.5}),
+    (ConstantAreaTorus, {"major": 0.5, "minor": 0.5}),
+    (ConstantAreaTorus, {"minor": 0.0}),
+    (ConstantAreaTorus, {"major": -0.75, "minor": -0.25}),
+    (PeriodicTorus, {"minor": 0.5, "amplitude": 0.25}),
+    (PeriodicTorus, {"minor": 0.6, "amplitude": -0.2}),
+    (PeriodicTorus, {"major": 0.3, "minor": 0.25}),
+], ids=["minor_above_major", "minor_equal_major", "zero_minor", "negative_radii",
+        "tube_reaches_axis", "tube_crosses_axis", "small_major"])
+def test_torus_radii_rejected(cls, params):
+    # the tube radius leaves (0, major) at some t: no embedded torus exists
+    with pytest.raises(ValueError):
+        cls(**params)
+
+
+def test_periodic_torus_tube_stays_open():
+    # the lower end of the same range: r(t) = minor - |amplitude| must be > 0
+    with pytest.raises(ValueError):
+        PeriodicTorus(minor=0.1, amplitude=-0.1)
