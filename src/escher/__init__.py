@@ -24,12 +24,10 @@ from .diagnostics import (
     eoc,
     ginzburg_landau_energy,
     h1_semi_error,
-    hminus1_norm,
     l2_error,
 )
 from .errors import EscherError
 from .io import write_diagnostics_csv, write_eoc_csv, write_vtk
-from .linalg import solve_mean_zero_spd, solve_sparse
 from .meshing import (
     MeshHierarchy,
     SurfaceMesh,

@@ -1,8 +1,7 @@
 """Scalar functionals and error machinery.
 
 Provides the discrete Ginzburg-Landau energy, the conserved mass
-functional, the discrete H^-1 norm induced by the inverse surface
-Laplacian, mesh-based L2 / H1-seminorm distances between nodal fields, and
+functional, mesh-based L2 / H1-seminorm distances between nodal fields, and
 experimental-order-of-convergence bookkeeping.
 """
 
@@ -10,8 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import assemble_operators, integrate_composed
-from .errors import IncompatibleRHS, LengthMismatch, ZeroError
-from .linalg import solve_mean_zero_spd
+from .errors import LengthMismatch, ZeroError
 
 
 @dataclass(frozen=True)
@@ -40,21 +38,6 @@ def discrete_mass(mesh, alpha):
     """The conserved quantity: integral of U_h, i.e. 1^T M alpha."""
     ops = assemble_operators(mesh)
     return float((ops.M @ np.asarray(alpha, dtype=float)).sum())
-
-
-def hminus1_norm(mesh, z):
-    """Norm of the discrete inverse Laplacian's gradient.
-
-    For mean-zero z, solves the stiffness system with mass-weighted right
-    side and returns the H1 seminorm of the solution.
-    """
-    ops = assemble_operators(mesh)
-    z = np.asarray(z, dtype=float)
-    b = ops.M @ z
-    if abs(b.sum()) > 1e-8 * max(np.abs(b).sum(), 1e-300):
-        raise IncompatibleRHS("z is not mean-zero in the M-weighted sense")
-    x = solve_mean_zero_spd(ops.A, b, ops.M)
-    return float(np.sqrt(x @ (ops.A @ x)))
 
 
 def _difference(mesh, values_a, values_b):

@@ -37,10 +37,6 @@ class IterativeBreakdown(EscherError):
     """Iterative linear solver broke down or stalled."""
 
 
-class IncompatibleRHS(EscherError):
-    """Right-hand side not in the range of the singular operator."""
-
-
 class NewtonDivergence(EscherError):
     """Newton iteration exceeded the iteration budget without converging."""
 

@@ -1,8 +1,9 @@
 """Double-well potentials split into a convex part and a concave quadratic.
 
-The full potential is ``F(u) = F1(u) - (theta/2) u**2`` with ``F1`` convex
-and of polynomial growth.  The default is the quartic well
-``F(u) = (1 - u**2)**2 / 4``, split as ``F1(u) = (1 + u**4)/4``, ``theta = 1``.
+The full potential is ``F(u) = F1(u) - (theta/2) u**2`` with ``F1`` convex.
+The schemes read ``F1``'s derivatives and ``theta``; the energy reads ``F``.
+The default is the quartic well ``F(u) = (1 - u**2)**2 / 4``, split as
+``F1(u) = (1 + u**4)/4``, ``theta = 1``.
 """
 
 from dataclasses import dataclass, field
@@ -16,29 +17,18 @@ class Potential:
     """Convex/concave split of a smooth double-well potential.
 
     ``f1``, ``df1``, ``d2f1`` evaluate the convex part and its first two
-    derivatives; ``theta`` scales the concave quadratic; ``growth`` is the
-    polynomial growth exponent q of ``df1`` with constant ``alpha``;
-    ``lower_bound`` bounds the full potential from below.
+    derivatives; ``theta`` scales the concave quadratic.
     """
 
     f1: Callable = field(repr=False)
     df1: Callable = field(repr=False)
     d2f1: Callable = field(repr=False)
     theta: float = 1.0
-    growth: float = 3.0
-    alpha: float = 1.0
-    lower_bound: float = 0.0
-    name: str = "custom"
 
     def full(self, u):
         """F(u) = F1(u) - (theta/2) u^2."""
         u = np.asarray(u, dtype=float)
         return self.f1(u) - 0.5 * self.theta * u**2
-
-    def dfull(self, u):
-        """F'(u) = F1'(u) - theta*u."""
-        u = np.asarray(u, dtype=float)
-        return self.df1(u) - self.theta * u
 
 
 # spelled as products: np.power on large arrays costs ~50x a multiply
@@ -57,23 +47,5 @@ def _quartic_d2f1(u):
 
 def quartic_potential(theta=1.0):
     """The quartic well (1-u^2)^2/4 for theta=1; F1(u) = (1+u^4)/4."""
-    return Potential(
-        f1=_quartic_f1,
-        df1=_quartic_df1,
-        d2f1=_quartic_d2f1,
-        theta=float(theta),
-        growth=3.0,
-        alpha=1.0,
-        lower_bound=0.0,
-        name="quartic",
-    )
-
-
-def validate_potential(pot, lo=-10.0, hi=10.0, samples=1000):
-    """Spot-check convexity of F1 and the growth bound on a sample grid."""
-    r = np.linspace(lo, hi, samples)
-    if np.any(pot.d2f1(r) < -1e-12):
-        raise ValueError("F1 is not convex on the sampled grid")
-    bound = pot.alpha * np.abs(r) ** pot.growth + pot.alpha
-    if np.any(np.abs(pot.df1(r)) > bound * (1.0 + 1e-12)):
-        raise ValueError("F1' violates the polynomial growth bound")
+    return Potential(f1=_quartic_f1, df1=_quartic_df1, d2f1=_quartic_d2f1,
+                     theta=float(theta))

@@ -16,11 +16,13 @@ one step solves the 2N x 2N block system
                                        -(theta/eps) M_prev alpha_prev)
 
 by Newton's method with the exact Jacobian.  Every linearisation is solved
-by BiCGStab preconditioned with one single-precision sparse LU factor in the
-fill-reducing order of ``assembly.BlockLayout``, kept across iterations and
-timesteps and refreshed when a solve needs clearly more preconditioner
-applies than the first one on it did.  Testing the first block row
-with constants shows ``1^T M alpha`` is conserved by construction.
+by BiCGStab preconditioned with one single-precision sparse LU factor
+(``lu_factor``, defined here) in the fill-reducing order of
+``assembly.BlockLayout``, kept across iterations and timesteps and refreshed
+when a solve needs clearly more preconditioner applies than the first one
+on it did.  The only other linear solve is the mass-matrix solve for the
+initial chemical potential.  Testing the first block row with constants
+shows ``1^T M alpha`` is conserved by construction.
 
 The fully implicit solution is unique only for ``tau < 4 eps^3 / theta^2``;
 a violation triggers a warning, not an error, since the scheme may still
@@ -51,9 +53,9 @@ from .errors import (
     IterativeBreakdown,
     LengthMismatch,
     NewtonDivergence,
+    SingularMatrix,
     ValidationError,
 )
-from .linalg import lu_factor, solve_sparse
 from .meshing import advance_mesh, mesh_size_h, surface_area
 
 FULLY_IMPLICIT = "fully_implicit"
@@ -121,6 +123,23 @@ def _check_state(mesh, state):
         raise LengthMismatch(
             f"state of length {state.alpha.shape[0]} on a mesh with {n} nodes"
         )
+
+
+DIAG_PIVOT_THRESH = 1e-3  # least |diagonal| / column max taken as the pivot
+
+
+def lu_factor(A):
+    """Single-precision sparse LU in the given order with threshold diagonal
+    pivoting, for a matrix laid out by ``assembly.BlockLayout``; raises
+    SingularMatrix.  The factor is a preconditioner: its ``solve`` takes and
+    returns float32 vectors."""
+    try:
+        return spla.splu(sp.csc_matrix(A, dtype=np.float32),
+                         permc_spec="NATURAL",
+                         diag_pivot_thresh=DIAG_PIVOT_THRESH,
+                         options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SingularMatrix(str(exc)) from exc
 
 
 class LinearContext:
@@ -372,7 +391,7 @@ def chemical_potential_for(mesh, alpha, cfg, pot):
     rhs = cfg.eps * (ops.A @ alpha) + (
         assemble_nonlinear_load(mesh, alpha, pot) - pot.theta * (ops.M @ alpha)
     ) / cfg.eps
-    return solve_sparse(ops.M, rhs)
+    return spla.splu(ops.M.tocsc()).solve(rhs)
 
 
 @dataclass

@@ -153,6 +153,13 @@ def test_missing_file_exit_code(tmp_path):
     assert main(["run", str(tmp_path / "absent.cfg")]) == 2
 
 
+def test_non_utf8_config_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "latin.cfg"
+    cfg.write_bytes(b"eps = 0.05\n\xff\xfe = 1\n")
+    assert main(["run", str(cfg)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_eoc_needs_sphere(tmp_path):
     cfg, _ = write_config(tmp_path, TORUS_RUN)
     assert main(["eoc", str(cfg), "--levels", "2"]) == 2

@@ -1,20 +1,17 @@
-"""Diagnostics tests: energy, mass, the inverse-Laplacian norm, error
-norms, and the convergence-order arithmetic."""
+"""Diagnostics tests: energy, mass, error norms, and the convergence-order
+arithmetic."""
 
 import numpy as np
 import pytest
 
-from escher.assembly import assemble_operators
 from escher.diagnostics import (
     discrete_mass,
     eoc,
     ginzburg_landau_energy,
     h1_semi_error,
-    hminus1_norm,
     l2_error,
 )
-from escher.errors import IncompatibleRHS, LengthMismatch, ZeroError
-from escher.linalg import solve_mean_zero_spd
+from escher.errors import LengthMismatch, ZeroError
 from escher.meshing import SurfaceMesh, build_icosphere, surface_area
 from escher.potentials import quartic_potential
 from escher.surfaces import StaticSphere
@@ -28,11 +25,6 @@ def mesh():
 @pytest.fixture(scope="module")
 def pot():
     return quartic_potential()
-
-
-def mean_free(mesh, values):
-    lumped = np.asarray(assemble_operators(mesh).M.sum(axis=1)).ravel()
-    return values - lumped @ values / lumped.sum()
 
 
 class TestEnergy:
@@ -70,38 +62,6 @@ class TestMass:
 
     def test_zero(self, mesh):
         assert discrete_mass(mesh, np.zeros(mesh.node_count)) == 0.0
-
-
-class TestHminus1:
-    def test_zero(self, mesh):
-        assert hminus1_norm(mesh, np.zeros(mesh.node_count)) == 0.0
-
-    def test_scaling(self, mesh):
-        z = mean_free(mesh, mesh.nodes[:, 0])
-        assert hminus1_norm(mesh, 3.0 * z) == pytest.approx(
-            3.0 * hminus1_norm(mesh, z), rel=1e-8
-        )
-
-    def test_self_adjointness(self, mesh):
-        # the squared norm equals the mass pairing with the potential
-        ops = assemble_operators(mesh)
-        z = mean_free(mesh, np.sin(2 * mesh.nodes[:, 1]))
-        x = solve_mean_zero_spd(ops.A, ops.M @ z, ops.M)
-        norm2 = hminus1_norm(mesh, z) ** 2
-        assert norm2 == pytest.approx(z @ (ops.M @ x), rel=1e-8)
-
-    def test_poincare_ratio_bounded_under_refinement(self):
-        ratios = []
-        for subdiv in (1, 2, 3):
-            m = build_icosphere(StaticSphere(), subdiv)
-            z = mean_free(m, m.nodes[:, 0])
-            l2 = np.sqrt(z @ (assemble_operators(m).M @ z))
-            ratios.append(hminus1_norm(m, z) / l2)
-        assert max(ratios) / min(ratios) < 1.2
-
-    def test_rejects_nonzero_mean(self, mesh):
-        with pytest.raises(IncompatibleRHS):
-            hminus1_norm(mesh, np.ones(mesh.node_count))
 
 
 class TestErrorNorms:

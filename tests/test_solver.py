@@ -16,20 +16,19 @@ from hypothesis import strategies as st
 from escher import solver
 from escher.assembly import (
     assemble_nonlinear_jacobian,
+    assemble_nonlinear_load,
     assemble_operators,
     block_layout,
 )
 from escher.config import sphere_eoc_initial
 from escher.errors import (
-    IncompatibleRHS,
     IterativeBreakdown,
     LengthMismatch,
     NewtonDivergence,
     SingularMatrix,
     ValidationError,
 )
-from escher.linalg import lu_factor, solve_mean_zero_spd, solve_sparse
-from escher.meshing import advance_mesh, build_icosphere
+from escher.meshing import advance_mesh, build_icosphere, build_torus_mesh
 from escher.potentials import quartic_potential
 from escher.solver import (
     LinearContext,
@@ -39,11 +38,17 @@ from escher.solver import (
     SchemeConfig,
     chemical_potential_for,
     initial_data_interpolate,
+    lu_factor,
     run_simulation,
     step_fully_implicit,
     step_imex,
 )
-from escher.surfaces import OscillatingSphere, StaticSphere
+from escher.surfaces import (
+    ConstantAreaTorus,
+    OscillatingSphere,
+    PeriodicTorus,
+    StaticSphere,
+)
 from test_acceptance import smooth_random_pm_data
 
 
@@ -55,29 +60,6 @@ def pot():
 @pytest.fixture(scope="module")
 def sphere_mesh():
     return build_icosphere(OscillatingSphere(), 2)
-
-
-class TestSolveSparse:
-    def test_identity(self):
-        b = np.arange(5.0)
-        npt.assert_allclose(solve_sparse(sp.identity(5, format="csr"), b), b)
-
-    def test_small_symmetric(self):
-        A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        npt.assert_allclose(solve_sparse(A, np.array([3.0, 3.0])), [1, 1])
-
-    def test_random_spd_residual(self):
-        rng = np.random.default_rng(0)
-        raw = rng.normal(size=(50, 50))
-        A = sp.csr_matrix(raw @ raw.T + 50 * np.eye(50))
-        b = rng.normal(size=50)
-        x = solve_sparse(A, b)
-        assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b) * 50
-
-    def test_singular_matrix(self):
-        A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-        with pytest.raises(SingularMatrix):
-            solve_sparse(A, np.ones(2))
 
 
 class CountingFactor:
@@ -274,28 +256,46 @@ class TestLinearContext:
         assert len(factor_calls) == 1
 
 
-class TestSolveMeanZero:
-    def test_zero_rhs(self, sphere_mesh):
-        ops = assemble_operators(sphere_mesh)
-        x = solve_mean_zero_spd(ops.A, np.zeros(ops.node_count), ops.M)
-        npt.assert_array_equal(x, 0.0)
+POTENTIAL_MESHES = {
+    "oscillating-sphere-162": lambda: build_icosphere(OscillatingSphere(), 2),
+    "static-sphere-642": lambda: build_icosphere(StaticSphere(), 3),
+    "constant-area-torus-16x8": lambda: build_torus_mesh(ConstantAreaTorus(),
+                                                         16, 8),
+    "periodic-torus-24x9": lambda: build_torus_mesh(PeriodicTorus(), 24, 9),
+}
 
-    def test_residual_and_mean(self, sphere_mesh):
-        ops = assemble_operators(sphere_mesh)
-        rng = np.random.default_rng(1)
-        z = rng.normal(size=ops.node_count)
-        b = ops.M @ z
-        b -= b.sum() / ops.node_count  # make compatible
-        x = solve_mean_zero_spd(ops.A, b, ops.M)
-        assert np.abs(ops.A @ x - b).max() <= 1e-10 * np.abs(b).max()
-        lumped = np.asarray(ops.M.sum(axis=1)).ravel()
-        assert abs(lumped @ x) <= 1e-10 * np.abs(x).max()
 
-    def test_incompatible_rhs(self, sphere_mesh):
-        ops = assemble_operators(sphere_mesh)
-        b = ops.M @ np.ones(ops.node_count)
-        with pytest.raises(IncompatibleRHS):
-            solve_mean_zero_spd(ops.A, b, ops.M)
+class TestChemicalPotential:
+    """The initial chemical potential solves
+    M beta = eps A alpha + (1/eps)(F(alpha) - theta M alpha)."""
+
+    CFG = SchemeConfig(eps=0.1, tau=1e-4, t_end=1e-3)
+
+    @pytest.fixture(scope="class", params=sorted(POTENTIAL_MESHES))
+    def mesh(self, request):
+        return POTENTIAL_MESHES[request.param]()
+
+    @pytest.mark.parametrize("theta", [0.0, 1.0])
+    def test_constant_order_parameter(self, mesh, theta):
+        # A kills constants and F(c) = c^3 M 1, so beta is the constant
+        # F'(c)/eps
+        c = 0.7
+        beta = chemical_potential_for(mesh, np.full(mesh.node_count, c),
+                                      self.CFG, quartic_potential(theta))
+        npt.assert_allclose(beta, (c**3 - theta * c) / self.CFG.eps,
+                            rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("theta", [0.0, 1.0])
+    def test_mass_system_residual(self, mesh, theta):
+        pot = quartic_potential(theta)
+        alpha = np.random.default_rng(8).normal(size=mesh.node_count)
+        ops = assemble_operators(mesh)
+        eps = self.CFG.eps
+        rhs = eps * (ops.A @ alpha) + (
+            assemble_nonlinear_load(mesh, alpha, pot)
+            - theta * (ops.M @ alpha)) / eps
+        beta = chemical_potential_for(mesh, alpha, self.CFG, pot)
+        assert np.abs(ops.M @ beta - rhs).max() <= 1e-12 * np.abs(rhs).max()
 
 
 def make_state(mesh, alpha, cfg, pot):
@@ -418,6 +418,61 @@ class TestSteps:
             deltas.append(np.abs(finals["fully_implicit"] - finals["imex"]).max())
         for coarse, fine in zip(deltas[:-1], deltas[1:]):
             assert 1.6 <= coarse / fine <= 2.4
+
+
+class TestRescueLadder:
+    """Above the uniqueness bound a fully implicit step that Newton misses
+    from the previous state is rescued by an IMEX warm start, and failing
+    that by two recursive half-steps.  On this static sphere at twice the
+    bound each rung rescues a step the other misses."""
+
+    @staticmethod
+    def full_tau_residual(ops_prev, ops, mesh, prev, state, cfg, pot):
+        eps = cfg.eps
+        g1 = ops.M @ state.alpha + cfg.tau * (ops.A @ state.beta) - (
+            ops_prev.M @ prev.alpha)
+        g2 = (-eps * (ops.A @ state.alpha)
+              + (pot.theta / eps) * (ops.M @ state.alpha)
+              + ops.M @ state.beta
+              - assemble_nonlinear_load(mesh, state.alpha, pot) / eps)
+        return max(np.abs(g1).max(), np.abs(g2).max())
+
+    def test_both_rungs_rescue(self, pot, monkeypatch):
+        mesh = build_icosphere(StaticSphere(), 2)
+        cfg = SchemeConfig(eps=0.05, tau=1e-3, t_end=0.02)
+        assert cfg.tau == pytest.approx(2 * cfg.uniqueness_bound(pot))
+        warm_starts, half_steps = [], []
+        step_imex, step_fully_implicit = (solver.step_imex,
+                                          solver.step_fully_implicit)
+
+        def imex_spy(*args, **kwargs):
+            warm_starts.append(args[2].step)
+            return step_imex(*args, **kwargs)
+
+        def fully_implicit_spy(*args, _depth=0, **kwargs):
+            if _depth > 0:
+                half_steps.append(_depth)
+            return step_fully_implicit(*args, _depth=_depth, **kwargs)
+
+        monkeypatch.setattr(solver, "step_imex", imex_spy)
+        monkeypatch.setattr(solver, "step_fully_implicit", fully_implicit_spy)
+        alpha = initial_data_interpolate(mesh, sphere_eoc_initial)
+        with pytest.warns(RuntimeWarning):
+            result = run_simulation(cfg, mesh, alpha, pot, snapshot_every=1)
+        assert len(warm_starts) >= 1 and len(half_steps) >= 1
+
+        # every step, rescued or not, solves the full-tau system
+        assert len(result.snapshots) == 21
+        for (mesh_prev, prev), (mesh_next, state) in zip(
+                result.snapshots[:-1], result.snapshots[1:]):
+            residual = self.full_tau_residual(
+                assemble_operators(mesh_prev), assemble_operators(mesh_next),
+                mesh_next, prev, state, cfg, pot)
+            assert residual <= cfg.newton_tol + 1e-13
+        masses = np.array([r.mass for r in result.records])
+        steps = np.arange(len(masses))
+        assert np.all(np.abs(masses - masses[0])
+                      <= 1e-8 * abs(masses[0]) + steps * cfg.newton_tol)
 
 
 class TestExtrapolatedStart:
