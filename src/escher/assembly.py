@@ -194,30 +194,35 @@ class AssembledOperators:
 
     M: sp.csr_matrix
     A: sp.csr_matrix
-    node_count: int
 
 
 def assemble_operators(mesh):
     """Mass and stiffness for a mesh, cached on the mesh instance."""
     ops = mesh._cache.get("operators")
     if ops is None:
-        ops = AssembledOperators(
-            M=assemble_mass(mesh),
-            A=assemble_stiffness(mesh),
-            node_count=mesh.node_count,
-        )
+        ops = AssembledOperators(M=assemble_mass(mesh), A=assemble_stiffness(mesh))
         mesh._cache["operators"] = ops
     return ops
 
 
-def _check_length(mesh, alpha):
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (mesh.node_count,):
+def check_length(mesh, values):
+    """``values`` as a float array of one entry per node of ``mesh``;
+    raises LengthMismatch."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (mesh.node_count,):
         raise LengthMismatch(
-            f"nodal vector of length {alpha.shape} on a mesh with "
+            f"nodal vector of shape {values.shape} on a mesh with "
             f"{mesh.node_count} nodes"
         )
-    return alpha
+    return values
+
+
+def _at_quadrature(mesh, alpha, degree):
+    """Triangle areas, the degree's rule, and U_h at its points, (nt, nq)."""
+    alpha = check_length(mesh, alpha)
+    rule = quadrature_rule(degree)
+    return (element_geometry(mesh).areas, rule,
+            alpha[mesh.triangles] @ rule.points.T)
 
 
 def assemble_nonlinear_load(mesh, alpha, pot, degree=NONLINEAR_QUAD_DEGREE):
@@ -226,35 +231,24 @@ def assemble_nonlinear_load(mesh, alpha, pot, degree=NONLINEAR_QUAD_DEGREE):
     The default degree-4 rule integrates the quartic well composed with P1
     functions exactly; higher degrees serve as over-integration oracles.
     """
-    alpha = _check_length(mesh, alpha)
-    areas = element_geometry(mesh).areas
-    rule = quadrature_rule(degree)
-    lam, w = rule.points, rule.weights
-    u_q = alpha[mesh.triangles] @ lam.T              # (nt, nq)
-    element = areas[:, None] * ((pot.df1(u_q) * w) @ lam)
+    areas, rule, u_q = _at_quadrature(mesh, alpha, degree)
+    element = areas[:, None] * ((pot.df1(u_q) * rule.weights) @ rule.points)
     return np.bincount(mesh.triangles.ravel(), weights=element.ravel(),
                        minlength=mesh.node_count)
 
 
 def assemble_nonlinear_jacobian(mesh, alpha, pot):
     """Jacobian of the nonlinear load: entries ``integral F1''(U_h) phi_i phi_j``."""
-    alpha = _check_length(mesh, alpha)
-    areas = element_geometry(mesh).areas
-    rule = quadrature_rule(NONLINEAR_QUAD_DEGREE)
-    lam, w = rule.points, rule.weights
-    u_q = alpha[mesh.triangles] @ lam.T
-    coeff = pot.d2f1(u_q) * w
+    areas, rule, u_q = _at_quadrature(mesh, alpha, NONLINEAR_QUAD_DEGREE)
+    lam = rule.points
+    coeff = pot.d2f1(u_q) * rule.weights
     # sum_q coeff[t,q] * lam[q,i] * lam[q,j] as one matmul over flattened (i,j)
-    pairs = (lam[:, :, None] * lam[:, None, :]).reshape(len(w), 9)
+    pairs = (lam[:, :, None] * lam[:, None, :]).reshape(len(lam), 9)
     local = (coeff @ pairs).reshape(-1, 3, 3)
     return _pattern(mesh).assemble(areas[:, None, None] * local)
 
 
 def integrate_composed(mesh, alpha, func):
     """Quadrature of ``func(U_h)`` over the triangulated surface."""
-    alpha = _check_length(mesh, alpha)
-    areas = element_geometry(mesh).areas
-    rule = quadrature_rule(NONLINEAR_QUAD_DEGREE)
-    u_q = alpha[mesh.triangles] @ rule.points.T
+    areas, rule, u_q = _at_quadrature(mesh, alpha, NONLINEAR_QUAD_DEGREE)
     return float(areas @ (func(u_q) @ rule.weights))
-

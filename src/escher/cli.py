@@ -82,11 +82,8 @@ def _cmd_eoc(args):
     cfg = _load(args.config)
     if args.levels < 2:
         raise ValidationError("levels", "need at least 2")
-    surface = cfg.build_surface()
-    if surface.family != "sphere":
-        raise WrongSurfaceKind("the refinement study runs on sphere surfaces")
     pot = cfg.build_potential()
-    result = eoc_study(cfg.scheme_config(), surface, pot,
+    result = eoc_study(cfg.scheme_config(), cfg.build_surface(), pot,
                        cfg.initial_function(), cfg.subdivisions, args.levels)
 
     outdir = Path(cfg.output_dir)

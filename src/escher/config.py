@@ -12,10 +12,14 @@ ignored, sections spelled as dotted keys::
     initial = sphere_eoc
 
 ``parse_config(emit_config(cfg))`` reproduces the configuration exactly.
+
+``RunConfig`` extends ``solver.SchemeConfig``; ``validate_config`` checks
+every input rule, the scheme's through ``SchemeConfig.validate``, and names
+each fault by its config key.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -47,24 +51,23 @@ def _constant_initial(points, value=0.0):
 INITIAL_DATA = ("sphere_eoc", "torus", "constant")
 
 
-@dataclass
-class RunConfig:
-    """Everything one run needs, in plain fields."""
+@dataclass(frozen=True)
+class RunConfig(SchemeConfig):
+    """Everything one run needs: the scheme's settings, with defaults for
+    the three it requires, and the surface, mesh, potential, initial data
+    and output around them."""
 
+    eps: float = 0.05
+    tau: float = 1e-4
+    t_end: float = 0.1
     surface_kind: str = "oscillating_sphere"
     surface_params: dict = field(default_factory=dict)
     subdivisions: int = 2          # icosphere meshes
     n_major: int = 48              # torus meshes
     n_minor: int = 16
-    eps: float = 0.05
     theta: float = 1.0
-    tau: float = 1e-4
-    t_end: float = 0.1
-    scheme: str = "fully_implicit"
     initial: str = "sphere_eoc"
     initial_value: float = 0.0
-    newton_tol: float = 1e-11
-    newton_max_iter: int = 25
     output_dir: str = "out"
     snapshot_every: int = 0
 
@@ -83,14 +86,9 @@ class RunConfig:
         return quartic_potential(theta=self.theta)
 
     def scheme_config(self):
-        return SchemeConfig(
-            eps=self.eps,
-            tau=self.tau,
-            t_end=self.t_end,
-            scheme=self.scheme,
-            newton_tol=self.newton_tol,
-            newton_max_iter=self.newton_max_iter,
-        )
+        """The scheme's settings alone, as the solver takes them."""
+        return SchemeConfig(**{f.name: getattr(self, f.name)
+                               for f in fields(SchemeConfig)})
 
     def initial_function(self):
         if self.initial == "sphere_eoc":
@@ -105,10 +103,8 @@ def validate_config(cfg):
     if cfg.surface_kind not in surface_kinds():
         raise ValidationError("surface.kind",
                               f"expected one of {surface_kinds()}")
-    scheme = cfg.scheme_config()
     try:
-        scheme.validate()
-        scheme.step_count()
+        cfg.validate()
     except ValidationError as exc:
         raise ValidationError(_KEY_OF[exc.field], exc.reason) from None
     if cfg.initial not in INITIAL_DATA:
@@ -161,8 +157,7 @@ _KEY_OF = {attr: key for key, (attr, _) in _KEYS.items()}
 
 def parse_config(text):
     """Parse the flat key-value format into a validated RunConfig."""
-    cfg = RunConfig()
-    surface_params = {}
+    values, surface_params = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -183,13 +178,12 @@ def parse_config(text):
             raise ParseError(f"unknown key {key!r}", lineno)
         attr, conv = _KEYS[key]
         try:
-            setattr(cfg, attr, conv(value))
+            values[attr] = conv(value)
         except ValueError:
             raise ParseError(
                 f"bad {conv.__name__} value {value!r} for {key}", lineno
             ) from None
-    cfg.surface_params = surface_params
-    return validate_config(cfg)
+    return validate_config(RunConfig(surface_params=surface_params, **values))
 
 
 def emit_config(cfg):

@@ -8,8 +8,8 @@ experimental-order-of-convergence bookkeeping.
 from dataclasses import dataclass
 import numpy as np
 
-from .assembly import assemble_operators, integrate_composed
-from .errors import LengthMismatch, ZeroError
+from .assembly import assemble_operators, check_length, integrate_composed
+from .errors import ZeroError
 
 
 @dataclass(frozen=True)
@@ -41,14 +41,7 @@ def discrete_mass(mesh, alpha):
 
 
 def _difference(mesh, values_a, values_b):
-    a = np.asarray(values_a, dtype=float)
-    b = np.asarray(values_b, dtype=float)
-    if a.shape != (mesh.node_count,) or b.shape != (mesh.node_count,):
-        raise LengthMismatch(
-            f"vectors of length {a.shape[0]} and {b.shape[0]} on a mesh "
-            f"with {mesh.node_count} nodes"
-        )
-    return a - b
+    return check_length(mesh, values_a) - check_length(mesh, values_b)
 
 
 def l2_error(mesh, values_a, values_b):

@@ -31,6 +31,9 @@ solution (the implicit-explicit scheme always, the fully implicit one below
 the bound) Newton starts from the polynomial extrapolant of the last three
 time levels (two on the second step), and from the previous time level when
 that diverges.
+
+``SchemeConfig.validate`` checks every setting the schemes read, the
+timestep dividing the final time included; ``config.RunConfig`` extends it.
 """
 
 import warnings
@@ -46,12 +49,12 @@ from .assembly import (
     assemble_nonlinear_load,
     assemble_operators,
     block_layout,
+    check_length,
 )
 from .diagnostics import DiagnosticRecord, discrete_mass, ginzburg_landau_energy
 from .errors import (
     EscherError,
     IterativeBreakdown,
-    LengthMismatch,
     NewtonDivergence,
     SingularMatrix,
     ValidationError,
@@ -89,6 +92,7 @@ class SchemeConfig:
             raise ValidationError("newton_tol", "must be finite and positive")
         if self.newton_max_iter < 1:
             raise ValidationError("newton_max_iter", "must be >= 1")
+        self.step_count()
 
     def step_count(self):
         """Number of steps; the timestep must divide the final time."""
@@ -118,11 +122,8 @@ class PhaseState:
 
 
 def _check_state(mesh, state):
-    n = mesh.node_count
-    if state.alpha.shape != (n,) or state.beta.shape != (n,):
-        raise LengthMismatch(
-            f"state of length {state.alpha.shape[0]} on a mesh with {n} nodes"
-        )
+    check_length(mesh, state.alpha)
+    check_length(mesh, state.beta)
 
 
 DIAG_PIVOT_THRESH = 1e-3  # least |diagonal| / column max taken as the pivot
@@ -228,7 +229,7 @@ def _newton(ops, rhs1, rhs2, b_data, state, cfg, pot, mesh_next,
     ``newton_tol``.
     """
     M, A = ops.M, ops.A
-    n = ops.node_count
+    n = mesh_next.node_count
     tau, eps = cfg.tau, cfg.eps
     layout = block_layout(mesh_next)
     b_matrix = sp.csr_matrix((b_data, M.indices, M.indptr), shape=M.shape)
@@ -375,13 +376,7 @@ def initial_data_interpolate(mesh, u0):
     ``u0`` is called once on the (N, 3) array of node positions and must
     return N values.
     """
-    values = np.asarray(u0(mesh.nodes), dtype=float)
-    if values.shape != (mesh.node_count,):
-        raise LengthMismatch(
-            f"u0 returned shape {values.shape} on a mesh with "
-            f"{mesh.node_count} nodes"
-        )
-    return values
+    return check_length(mesh, u0(mesh.nodes))
 
 
 def chemical_potential_for(mesh, alpha, cfg, pot):
@@ -426,12 +421,7 @@ def run_simulation(cfg, mesh, alpha0, pot, *, snapshot_every=0):
     """
     cfg.validate()
     n_steps = cfg.step_count()
-    alpha0 = np.asarray(alpha0, dtype=float)
-    if alpha0.shape != (mesh.node_count,):
-        raise LengthMismatch(
-            f"initial data of length {alpha0.shape} on a mesh with "
-            f"{mesh.node_count} nodes"
-        )
+    alpha0 = check_length(mesh, alpha0)
     if cfg.scheme == FULLY_IMPLICIT and cfg.tau >= cfg.uniqueness_bound(pot):
         warnings.warn(
             f"tau = {cfg.tau:g} >= 4 eps^3/theta^2 = "

@@ -1,5 +1,7 @@
 """Configuration parsing, validation and round-trip tests."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -15,7 +17,7 @@ from escher.config import (
     validate_config,
 )
 from escher.errors import ParseError, ValidationError
-from escher.solver import SCHEMES
+from escher.solver import SCHEMES, SchemeConfig
 
 MINIMAL_SPHERE = """
 surface.kind = oscillating_sphere
@@ -229,6 +231,9 @@ def test_round_trip_property(cfg):
     except ValidationError:
         assume(False)
     assert parse_config(emit_config(cfg)) == cfg
+    assert cfg.scheme_config() == SchemeConfig(
+        eps=cfg.eps, tau=cfg.tau, t_end=cfg.t_end, scheme=cfg.scheme,
+        newton_tol=cfg.newton_tol, newton_max_iter=cfg.newton_max_iter)
 
 
 def test_builtin_initial_data():
@@ -251,6 +256,7 @@ def test_constant_initial_through_config():
 
 
 def test_default_dataclass_is_valid():
-    from escher.config import validate_config
-
-    validate_config(RunConfig())
+    cfg = validate_config(RunConfig())
+    # a validated configuration cannot be changed behind its checks
+    with pytest.raises(FrozenInstanceError):
+        cfg.tau = -1.0

@@ -19,8 +19,10 @@ from escher.assembly import (
     assemble_nonlinear_load,
     assemble_operators,
     block_layout,
+    integrate_composed,
 )
 from escher.config import sphere_eoc_initial
+from escher.diagnostics import l2_error
 from escher.errors import (
     IterativeBreakdown,
     LengthMismatch,
@@ -622,3 +624,30 @@ class TestInitialData:
             initial_data_interpolate(sphere_mesh, u0)
         assert err.value.args == ("bad u0",)
         assert calls == [(sphere_mesh.node_count, 3)]
+
+
+# each entry point that reads a nodal vector, given one a node short
+SHORT_VECTOR_CALLS = {
+    "run_simulation": lambda mesh, full, short, cfg, pot:
+        run_simulation(cfg, mesh, short, pot),
+    "step_imex": lambda mesh, full, short, cfg, pot:
+        step_imex(mesh, advance_mesh(mesh, cfg.tau), PhaseState(full, short),
+                  cfg, pot),
+    "step_fully_implicit": lambda mesh, full, short, cfg, pot:
+        step_fully_implicit(mesh, advance_mesh(mesh, cfg.tau),
+                            PhaseState(full, short), cfg, pot),
+    "assemble_nonlinear_load": lambda mesh, full, short, cfg, pot:
+        assemble_nonlinear_load(mesh, short, pot),
+    "integrate_composed": lambda mesh, full, short, cfg, pot:
+        integrate_composed(mesh, short, pot.full),
+    "l2_error": lambda mesh, full, short, cfg, pot:
+        l2_error(mesh, full, short),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SHORT_VECTOR_CALLS))
+def test_short_nodal_vector_rejected(entry, sphere_mesh, pot):
+    full = initial_data_interpolate(sphere_mesh, sphere_eoc_initial)
+    cfg = SchemeConfig(eps=0.1, tau=1e-3, t_end=1e-3)
+    with pytest.raises(LengthMismatch):
+        SHORT_VECTOR_CALLS[entry](sphere_mesh, full, full[:-1], cfg, pot)
