@@ -155,9 +155,9 @@ def element_geometry(mesh):
         cz = ex[1] * ey[2] - ey[1] * ex[2]
         doubled = np.sqrt((cx * cx + cy * cy) + cz * cz)
         areas = 0.5 * doubled
-        if areas.min() <= DEGENERACY_TOL:
+        if not areas.min() > DEGENERACY_TOL:  # nan fails too
             raise DegenerateTriangle(f"triangle area {areas.min():.3e} "
-                                     f"<= {DEGENERACY_TOL:g}")
+                                     f"not above {DEGENERACY_TOL:g}")
         nx, ny, nz = cx / doubled, cy / doubled, cz / doubled
         # edge rotated into the plane: grad phi_i = (n x e_i) / doubled
         gx = (ny * ez - nz * ey) / doubled

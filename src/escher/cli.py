@@ -80,8 +80,6 @@ def _cmd_run(args):
 
 def _cmd_eoc(args):
     cfg = _load(args.config)
-    if args.levels < 2:
-        raise ValidationError("levels", "need at least 2")
     pot = cfg.build_potential()
     result = eoc_study(cfg.scheme_config(), cfg.build_surface(), pot,
                        cfg.initial_function(), cfg.subdivisions, args.levels)

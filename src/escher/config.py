@@ -21,6 +21,7 @@ each fault by its config key.
 import math
 from dataclasses import dataclass, field, fields
 from functools import partial
+from types import MappingProxyType
 
 import numpy as np
 
@@ -70,6 +71,10 @@ class RunConfig(SchemeConfig):
     initial_value: float = 0.0
     output_dir: str = "out"
     snapshot_every: int = 0
+
+    def __post_init__(self):  # frozen all the way down: a read-only copy
+        object.__setattr__(self, "surface_params",
+                           MappingProxyType(dict(self.surface_params)))
 
     def build_surface(self):
         return make_surface(self.surface_kind, **self.surface_params)

@@ -28,7 +28,7 @@ class DiagnosticRecord:
 def ginzburg_landau_energy(mesh, alpha, pot, eps):
     """Interfacial energy (eps/2) |grad U|^2 + F(U)/eps over the surface."""
     ops = assemble_operators(mesh)
-    alpha = np.asarray(alpha, dtype=float)
+    alpha = check_length(mesh, alpha)
     gradient_part = 0.5 * eps * alpha @ (ops.A @ alpha)
     well_part = integrate_composed(mesh, alpha, pot.full) / eps
     return float(gradient_part + well_part)
@@ -37,7 +37,7 @@ def ginzburg_landau_energy(mesh, alpha, pot, eps):
 def discrete_mass(mesh, alpha):
     """The conserved quantity: integral of U_h, i.e. 1^T M alpha."""
     ops = assemble_operators(mesh)
-    return float((ops.M @ np.asarray(alpha, dtype=float)).sum())
+    return float((ops.M @ check_length(mesh, alpha)).sum())
 
 
 def _difference(mesh, values_a, values_b):

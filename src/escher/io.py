@@ -11,6 +11,7 @@ from dataclasses import fields
 
 import numpy as np
 
+from .assembly import check_length
 from .diagnostics import DiagnosticRecord
 from .errors import IoError
 
@@ -21,14 +22,9 @@ def _fmt(x):
 
 def write_vtk(mesh, arrays, path):
     """Write a mesh with named nodal scalar arrays as legacy ASCII VTK."""
-    arrays = dict(arrays or {})
+    arrays = {name: check_length(mesh, values)
+              for name, values in (arrays or {}).items()}
     n = mesh.node_count
-    for name, values in arrays.items():
-        values = np.asarray(values)
-        if values.shape != (n,):
-            raise IoError(f"array {name!r} has shape {values.shape}, "
-                          f"expected ({n},)")
-        arrays[name] = values
     try:
         with open(path, "w", encoding="ascii") as fh:
             fh.write("# vtk DataFile Version 2.0\n")

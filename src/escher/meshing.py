@@ -169,10 +169,7 @@ def advance_mesh(mesh, t1):
     """Move every node with the surface's exact motion; connectivity is kept."""
     if t1 < mesh.current_time:
         raise ValueError("cannot advance a mesh backwards in time")
-    if t1 == mesh.current_time:
-        nodes = mesh.nodes
-    else:
-        nodes = mesh.surface.move(mesh.nodes, mesh.current_time, t1)
+    nodes = mesh.surface.move(mesh.nodes, mesh.current_time, t1)
     out = SurfaceMesh(nodes, mesh.triangles, mesh.surface, t1,
                       parent_map=mesh.parent_map)
     # connectivity-derived caches stay valid when only nodes move
@@ -216,7 +213,7 @@ def validate_mesh(mesh):
         raise BadConnectivity(
             "surface not closed: edge not shared by exactly 2 triangles")
     residual = np.max(np.abs(mesh.surface.value(mesh.nodes, mesh.current_time)))
-    if residual > SURFACE_TOL:
+    if not residual <= SURFACE_TOL:  # nan fails too
         raise OffSurface(f"nodes off the zero set: max |phi| = {residual:.3e}")
     element_geometry(mesh)  # raises DegenerateTriangle
 
@@ -231,16 +228,8 @@ class MeshHierarchy:
     def build(cls, base_mesh, refinements):
         hier = cls(base_mesh)
         for _ in range(refinements):
-            hier.extend()
+            hier.levels.append(refine(hier.levels[-1]))
         return hier
-
-    def extend(self):
-        """Refine the finest level once and append it."""
-        self.levels.append(refine(self.levels[-1]))
-        return self.levels[-1]
-
-    def __len__(self):
-        return len(self.levels)
 
     def prolongation(self, coarse_level):
         if not 0 <= coarse_level < len(self.levels) - 1:

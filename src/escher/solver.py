@@ -24,13 +24,13 @@ on it did.  The only other linear solve is the mass-matrix solve for the
 initial chemical potential.  Testing the first block row with constants
 shows ``1^T M alpha`` is conserved by construction.
 
-The fully implicit solution is unique only for ``tau < 4 eps^3 / theta^2``;
-a violation triggers a warning, not an error, since the scheme may still
-converge to one of the admissible solutions.  Where every step has one
-solution (the implicit-explicit scheme always, the fully implicit one below
-the bound) Newton starts from the polynomial extrapolant of the last three
-time levels (two on the second step), and from the previous time level when
-that diverges.
+Each step has one solution below the scheme's uniqueness bound
+(``SchemeConfig.uniqueness_bound``): ``4 eps^3 / theta^2`` for the fully
+implicit scheme, no bound for the implicit-explicit one.  A timestep at or
+above it triggers a warning, not an error, since the scheme may still
+converge to one of the admissible solutions.  Below it Newton starts from
+the polynomial extrapolant of the last three time levels (two on the second
+step), and from the previous time level when that diverges.
 
 ``SchemeConfig.validate`` checks every setting the schemes read, the
 timestep dividing the final time included; ``config.RunConfig`` extends it.
@@ -84,8 +84,6 @@ class SchemeConfig:
             raise ValidationError("tau", "must be finite and positive")
         if not np.isfinite(self.t_end) or self.t_end < 0.0:
             raise ValidationError("t_end", "must be finite and nonnegative")
-        if self.tau > self.t_end > 0.0:
-            raise ValidationError("tau", "timestep exceeds final time")
         if self.scheme not in SCHEMES:
             raise ValidationError("scheme", f"expected one of {SCHEMES}")
         if not np.isfinite(self.newton_tol) or self.newton_tol <= 0.0:
@@ -105,8 +103,12 @@ class SchemeConfig:
         return n
 
     def uniqueness_bound(self, pot):
+        """Timestep below which each step has one solution: inf for IMEX or
+        theta = 0, else 4 eps^3 / theta^2 in products, which cannot raise."""
         theta = pot.theta
-        return np.inf if theta == 0.0 else 4.0 * self.eps**3 / theta**2
+        if self.scheme == IMEX or theta == 0.0:
+            return np.inf
+        return 4.0 * self.eps * self.eps * self.eps / (theta * theta)
 
 
 @dataclass(frozen=True)
@@ -129,18 +131,22 @@ def _check_state(mesh, state):
 DIAG_PIVOT_THRESH = 1e-3  # least |diagonal| / column max taken as the pivot
 
 
+def _splu(A, **options):
+    """``spla.splu`` of a CSC matrix; raises SingularMatrix."""
+    try:
+        return spla.splu(A, **options)
+    except RuntimeError as exc:
+        raise SingularMatrix(str(exc)) from exc
+
+
 def lu_factor(A):
     """Single-precision sparse LU in the given order with threshold diagonal
     pivoting, for a matrix laid out by ``assembly.BlockLayout``; raises
     SingularMatrix.  The factor is a preconditioner: its ``solve`` takes and
     returns float32 vectors."""
-    try:
-        return spla.splu(sp.csc_matrix(A, dtype=np.float32),
-                         permc_spec="NATURAL",
-                         diag_pivot_thresh=DIAG_PIVOT_THRESH,
-                         options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        raise SingularMatrix(str(exc)) from exc
+    return _splu(sp.csc_matrix(A, dtype=np.float32), permc_spec="NATURAL",
+                 diag_pivot_thresh=DIAG_PIVOT_THRESH,
+                 options={"SymmetricMode": True})
 
 
 class LinearContext:
@@ -381,12 +387,14 @@ def initial_data_interpolate(mesh, u0):
 
 def chemical_potential_for(mesh, alpha, cfg, pot):
     """Nodal chemical potential consistent with the order parameter:
-    solves M beta = eps A alpha + (1/eps)(F(alpha) - theta M alpha)."""
+    solves M beta = eps A alpha + (1/eps)(F(alpha) - theta M alpha);
+    raises SingularMatrix."""
+    alpha = check_length(mesh, alpha)
     ops = assemble_operators(mesh)
     rhs = cfg.eps * (ops.A @ alpha) + (
         assemble_nonlinear_load(mesh, alpha, pot) - pot.theta * (ops.M @ alpha)
     ) / cfg.eps
-    return spla.splu(ops.M.tocsc()).solve(rhs)
+    return _splu(ops.M.tocsc()).solve(rhs)
 
 
 @dataclass
@@ -422,18 +430,18 @@ def run_simulation(cfg, mesh, alpha0, pot, *, snapshot_every=0):
     cfg.validate()
     n_steps = cfg.step_count()
     alpha0 = check_length(mesh, alpha0)
-    if cfg.scheme == FULLY_IMPLICIT and cfg.tau >= cfg.uniqueness_bound(pot):
+    bound = cfg.uniqueness_bound(pot)
+    # one solution per step: any start reaches it, so start near it
+    unique = cfg.tau < bound
+    if not unique:
         warnings.warn(
-            f"tau = {cfg.tau:g} >= 4 eps^3/theta^2 = "
-            f"{cfg.uniqueness_bound(pot):g}: the fully implicit step may "
-            "admit multiple solutions",
+            f"tau = {cfg.tau:g} >= 4 eps^3/theta^2 = {bound:g}: the fully "
+            "implicit step may admit multiple solutions",
             RuntimeWarning,
             stacklevel=2,
         )
 
     stepper = _STEPPERS[cfg.scheme]
-    # one solution per step: any start reaches it, so start near it
-    extrapolate = cfg.scheme == IMEX or cfg.tau < cfg.uniqueness_bound(pot)
     context = LinearContext()
     t0 = mesh.current_time
     state = PhaseState(alpha0, chemical_potential_for(mesh, alpha0, cfg, pot),
@@ -445,8 +453,7 @@ def run_simulation(cfg, mesh, alpha0, pot, *, snapshot_every=0):
     for n in range(1, n_steps + 1):
         mesh_next = advance_mesh(mesh, t0 + n * cfg.tau)
         # with one level the extrapolant is the previous state, the default
-        guess = (_extrapolate(levels) if extrapolate and len(levels) > 1
-                 else None)
+        guess = _extrapolate(levels) if unique and len(levels) > 1 else None
         try:
             state = stepper(mesh, mesh_next, state, cfg, pot,
                             initial_guess=guess, context=context)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .diagnostics import EocTable, eoc, h1_semi_error, l2_error
+from .errors import ValidationError
 from .meshing import MeshHierarchy, build_icosphere, mesh_size_h, prolong_to
 from .solver import initial_data_interpolate, run_simulation
 
@@ -77,7 +78,9 @@ def eoc_study(cfg, surface, pot, u0, base_subdivisions, levels, *,
     ``cfg``'s scheme.
     """
     if levels < 2:
-        raise ValueError("need at least 2 levels for a convergence order")
+        raise ValidationError("levels", "need at least 2")
+    if cfg.step_count() == 0:
+        raise ValidationError("T", "a study needs at least one step")
     if reference is None:
         reference = compute_reference(cfg, surface, pot, u0,
                                       base_subdivisions, levels)

@@ -50,7 +50,7 @@ class LevelSetSurface:
         """Exact motion of surface points from time t0 to t1."""
         x0 = np.asarray(x0, dtype=float)
         res = np.max(np.abs(self.value(x0, t0)))
-        if res > ON_SURFACE_TOL:
+        if not res <= ON_SURFACE_TOL:  # nan fails too
             raise OffSurface(
                 f"point not on {self.kind} at t={t0:g}: |phi| = {res:.3e}"
             )

@@ -165,6 +165,20 @@ def test_eoc_needs_sphere(tmp_path):
     assert main(["eoc", str(cfg), "--levels", "2"]) == 2
 
 
+def test_eoc_needs_two_levels(tmp_path, capsys):
+    cfg, _ = write_config(tmp_path, EOC_SMOKE)
+    assert main(["eoc", str(cfg), "--levels", "1"]) == 2
+    assert "levels" in capsys.readouterr().err
+
+
+def test_eoc_needs_one_step(tmp_path, capsys):
+    # T = 0 is a valid run of no steps, but a study of no steps has no tau
+    cfg, out = write_config(tmp_path, EOC_SMOKE.replace("T = 0.1", "T = 0"))
+    assert main(["eoc", str(cfg), "--levels", "2"]) == 2
+    assert "at least one step" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eoc_imex_flag_removed(tmp_path):
     # the scheme comes from the config's `scheme` key
     cfg, _ = write_config(tmp_path, EOC_SMOKE)
@@ -189,6 +203,16 @@ output.dir = {out}
     cfg, _ = write_config(tmp_path, text)
     with pytest.warns(RuntimeWarning, match="multiple solutions"):
         assert main(["run", str(cfg)]) == 3
+
+
+def test_non_finite_geometry_exit_code(tmp_path, capsys):
+    # the refined midpoints of so small a sphere underflow to nan nodes
+    cfg, out = write_config(tmp_path, SMOKE_RUN, **{"surface.radius": 1e-200})
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        assert main(["run", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "triangle area nan" in err and len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_eoc_smoke(tmp_path, capsys):

@@ -255,6 +255,13 @@ def test_constant_initial_through_config():
     assert np.all(u0(np.random.default_rng(0).normal(size=(4, 3))) == 0.25)
 
 
+def test_surface_params_read_only():
+    cfg = parse_config(MINIMAL_SPHERE + "surface.amplitude = 0.2\n")
+    with pytest.raises(TypeError):
+        cfg.surface_params["amplitude"] = 0.3
+    assert cfg.surface_params == {"amplitude": 0.2}
+
+
 def test_default_dataclass_is_valid():
     cfg = validate_config(RunConfig())
     # a validated configuration cannot be changed behind its checks

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from escher.diagnostics import DiagnosticRecord, eoc
-from escher.errors import IoError
+from escher.errors import LengthMismatch
 from escher.io import write_diagnostics_csv, write_eoc_csv, write_vtk
 from escher.meshing import build_icosphere
 from escher.surfaces import StaticSphere
@@ -55,7 +55,7 @@ def test_vtk_seventeen_digits(mesh, tmp_path):
 
 
 def test_vtk_wrong_length(mesh, tmp_path):
-    with pytest.raises(IoError):
+    with pytest.raises(LengthMismatch):
         write_vtk(mesh, {"u": np.zeros(5)}, tmp_path / "bad.vtk")
 
 

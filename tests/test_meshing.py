@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from escher.assembly import element_geometry
 from escher.errors import (
     BadConnectivity,
     DegenerateTriangle,
@@ -174,6 +175,8 @@ def broken_icosphere(fault):
         nodes[0] *= 1.01
     elif fault == "degenerate":  # two vertices coincide, still on the sphere
         nodes[tris[0, 1]] = nodes[tris[0, 0]]
+    elif fault == "nan_node":  # compares false with every tolerance
+        nodes[0] = np.nan
     return SurfaceMesh(nodes, tris, m.surface)
 
 
@@ -184,6 +187,7 @@ class TestValidate:
         ("open_edge", BadConnectivity, "not shared by exactly 2"),
         ("off_surface", OffSurface, "off the zero set"),
         ("degenerate", DegenerateTriangle, "triangle area"),
+        ("nan_node", OffSurface, "off the zero set"),
     ])
     def test_fault_raises_its_error(self, fault, error, match):
         validate_mesh(broken_icosphere(None))
@@ -194,6 +198,10 @@ class TestValidate:
     def test_measures_reject_degenerate_triangles(self, measure):
         with pytest.raises(DegenerateTriangle):
             measure(broken_icosphere("degenerate"))
+
+    def test_geometry_rejects_nan_node(self):
+        with pytest.raises(DegenerateTriangle, match="nan"):
+            element_geometry(broken_icosphere("nan_node"))
 
 
 class TestHierarchyAndProlongation:

@@ -1,6 +1,7 @@
 """Solver tests: linear solves, the two timestepping schemes, conservation
 and consistency properties, and the smooth-function projection."""
 
+import os
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -22,7 +23,7 @@ from escher.assembly import (
     integrate_composed,
 )
 from escher.config import sphere_eoc_initial
-from escher.diagnostics import l2_error
+from escher.diagnostics import discrete_mass, ginzburg_landau_energy, l2_error
 from escher.errors import (
     IterativeBreakdown,
     LengthMismatch,
@@ -30,7 +31,13 @@ from escher.errors import (
     SingularMatrix,
     ValidationError,
 )
-from escher.meshing import advance_mesh, build_icosphere, build_torus_mesh
+from escher.io import write_vtk
+from escher.meshing import (
+    SurfaceMesh,
+    advance_mesh,
+    build_icosphere,
+    build_torus_mesh,
+)
 from escher.potentials import quartic_potential
 from escher.solver import (
     LinearContext,
@@ -299,6 +306,15 @@ class TestChemicalPotential:
         beta = chemical_potential_for(mesh, alpha, self.CFG, pot)
         assert np.abs(ops.M @ beta - rhs).max() <= 1e-12 * np.abs(rhs).max()
 
+    def test_unused_node_is_singular(self, pot):
+        # a node no triangle uses has an empty row of M
+        m = build_icosphere(StaticSphere(), 1)
+        mesh = SurfaceMesh(np.vstack([m.nodes, m.nodes[:1]]), m.triangles,
+                           m.surface)
+        with pytest.raises(SingularMatrix):
+            chemical_potential_for(mesh, np.zeros(mesh.node_count), self.CFG,
+                                   pot)
+
 
 def make_state(mesh, alpha, cfg, pot):
     beta = chemical_potential_for(mesh, alpha, cfg, pot)
@@ -559,6 +575,24 @@ class TestRunSimulation:
             warnings.simplefilter("error")
             run_simulation(cfg, sphere_mesh, alpha, pot)
 
+    @pytest.mark.parametrize("scheme, expected", [(FULLY_IMPLICIT, 5e-4),
+                                                  (IMEX, np.inf)])
+    def test_uniqueness_bound_per_scheme(self, scheme, expected):
+        cfg = SchemeConfig(eps=0.05, tau=1e-3, t_end=1e-3, scheme=scheme)
+        assert cfg.uniqueness_bound(quartic_potential()) == pytest.approx(
+            expected)
+
+    @pytest.mark.parametrize("eps", [0.05, 0.1, 0.5])
+    def test_uniqueness_bound_is_the_power_form(self, eps):
+        cfg = SchemeConfig(eps=eps, tau=1e-3, t_end=1e-3)
+        assert cfg.uniqueness_bound(quartic_potential()) == 4.0 * eps**3
+
+    @pytest.mark.parametrize("eps, theta, expected", [(1e200, 1.0, np.inf),
+                                                      (0.05, 1e300, 0.0)])
+    def test_uniqueness_bound_overflows_quietly(self, eps, theta, expected):
+        cfg = SchemeConfig(eps=eps, tau=1e-3, t_end=1e-3)
+        assert cfg.uniqueness_bound(quartic_potential(theta)) == expected
+
     def test_mass_drift_bound_over_run(self, sphere_mesh, pot):
         cfg = SchemeConfig(eps=0.05, tau=1e-4, t_end=5e-3)
         alpha = initial_data_interpolate(sphere_mesh, sphere_eoc_initial)
@@ -642,6 +676,15 @@ SHORT_VECTOR_CALLS = {
         integrate_composed(mesh, short, pot.full),
     "l2_error": lambda mesh, full, short, cfg, pot:
         l2_error(mesh, full, short),
+    "discrete_mass": lambda mesh, full, short, cfg, pot:
+        discrete_mass(mesh, short),
+    "ginzburg_landau_energy": lambda mesh, full, short, cfg, pot:
+        ginzburg_landau_energy(mesh, short, pot, cfg.eps),
+    "chemical_potential_for": lambda mesh, full, short, cfg, pot:
+        chemical_potential_for(mesh, short, cfg, pot),
+    # raises before it opens the file
+    "write_vtk": lambda mesh, full, short, cfg, pot:
+        write_vtk(mesh, {"u": full, "w": short}, os.devnull),
 }
 
 

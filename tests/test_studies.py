@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from escher.config import sphere_eoc_initial
+from escher.errors import ValidationError
 from escher.potentials import quartic_potential
 from escher.solver import SchemeConfig
 from escher.studies import eoc_study, interpolation_eoc
@@ -46,7 +47,7 @@ def test_imex_levels_against_shared_reference(tiny_study):
 
 def test_needs_two_levels(tiny_study):
     cfg, surface, pot = tiny_study
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         eoc_study(cfg, surface, pot, sphere_eoc_initial, 1, 1)
 
 

@@ -132,6 +132,11 @@ class TestMoveNode:
         with pytest.raises(OffSurface):
             OscillatingSphere().move(np.array([2.0, 0.0, 0.0]), 0.0, 0.01)
 
+    @pytest.mark.parametrize("t1", [0.0, 0.01])
+    def test_nan_point_rejected(self, t1):
+        with pytest.raises(OffSurface):
+            OscillatingSphere().move(np.array([np.nan, 0.0, 0.0]), 0.0, t1)
+
     @pytest.mark.parametrize("surface", ALL_KINDS, ids=lambda s: s.kind)
     def test_moved_points_stay_on_zero_set(self, surface):
         rng = np.random.default_rng(31)
