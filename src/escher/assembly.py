@@ -36,14 +36,13 @@ class _Pattern:
     def __init__(self, triangles, node_count):
         rows = np.repeat(triangles, 3, axis=1).ravel()
         cols = np.tile(triangles, (1, 3)).ravel()
-        order = np.lexsort((cols, rows))
-        sr, sc = rows[order], cols[order]
-        fresh = np.empty(len(sr), dtype=bool)
-        fresh[0] = True
-        fresh[1:] = (sr[1:] != sr[:-1]) | (sc[1:] != sc[:-1])
+        key = rows * node_count + cols
+        order = np.argsort(key)  # equal keys share one slot: any tie order
+        key = key[order]
+        fresh = np.r_[True, key[1:] != key[:-1]]
         group = np.cumsum(fresh) - 1
         self.nnz = int(group[-1]) + 1
-        self.rows, self.indices = sr[fresh], sc[fresh]
+        self.rows, self.indices = np.divmod(key[fresh], node_count)
         self.indptr = np.r_[0, np.cumsum(np.bincount(self.rows,
                                                      minlength=node_count))]
         self.slots = np.empty_like(group)
@@ -104,7 +103,7 @@ class BlockLayout:
         rank = np.argsort(self.order)
         r = rank[np.concatenate([rows, rows, rows + n, rows + n])]
         c = rank[np.concatenate([cols, cols + n, cols, cols + n])]
-        self.gather = np.lexsort((r, c))
+        self.gather = np.argsort(c * (2 * n) + r)  # the keys are unique
         self.indices = r[self.gather].astype(np.int32)
         self.indptr = np.r_[0, np.cumsum(np.bincount(c, minlength=2 * n))]
         self.indptr = self.indptr.astype(np.int32)

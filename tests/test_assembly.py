@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from escher.assembly import (
+    _Pattern,
     assemble_mass,
     assemble_nonlinear_jacobian,
     assemble_nonlinear_load,
@@ -301,6 +302,37 @@ class TestBlockLayout:
         order = block_layout(mesh).order
         npt.assert_array_equal(np.sort(order), np.arange(2 * n))
         npt.assert_array_equal(order[0::2], order[1::2] + n)  # beta first
+
+    @staticmethod
+    def increasing_within(starts, indices):
+        """Whether ``indices`` strictly increase inside every compressed
+        row or column delimited by the pointer array ``starts``."""
+        line = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+        return bool(np.all(np.diff(indices)[np.diff(line) == 0] > 0))
+
+    @pytest.mark.parametrize("kind", sorted(MESHES))
+    def test_pattern_is_sorted_and_scatters_every_element_entry(self, kind):
+        mesh = self.MESHES[kind]()
+        n, nt = mesh.node_count, len(mesh.triangles)
+        pat = _Pattern(mesh.triangles, n)
+        npt.assert_array_equal(pat.rows,
+                               np.repeat(np.arange(n), np.diff(pat.indptr)))
+        assert self.increasing_within(pat.indptr, pat.indices)
+        # entry 9t + 3i + j of the element matrices couples the triangle's
+        # vertices i and j
+        t, i, j = np.unravel_index(np.arange(9 * nt), (nt, 3, 3))
+        npt.assert_array_equal(pat.rows[pat.slots], mesh.triangles[t, i])
+        npt.assert_array_equal(pat.indices[pat.slots], mesh.triangles[t, j])
+
+    @pytest.mark.parametrize("kind", sorted(MESHES))
+    def test_matrix_is_canonical_csc(self, kind):
+        # sorted, duplicate-free row indices in every column: dense equality
+        # alone passes any order
+        mesh = self.MESHES[kind]()
+        ops = assemble_operators(mesh)
+        matrix = block_layout(mesh).matrix((ops.M.data,) * 4)
+        assert matrix.indptr[-1] == len(matrix.indices) == 4 * len(ops.M.data)
+        assert self.increasing_within(matrix.indptr, matrix.indices)
 
     def test_data_off_the_pattern_rejected(self, icosphere):
         ops = assemble_operators(icosphere)

@@ -215,6 +215,23 @@ def test_non_finite_geometry_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("setting", ["eps = 1e200", "eps = 0.1\ntheta = 1e300"])
+def test_beyond_float32_exit_code(tmp_path, capsys, setting):
+    # valid settings whose Newton matrix leaves the float32 factor's range:
+    # a typed error before the cast, not its overflow warning and a
+    # "singular" factor
+    text = SMOKE_RUN.replace("scheme = imex", "scheme = fully_implicit")
+    cfg, out = write_config(tmp_path, text.replace("eps = 0.1", setting))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", str(cfg)]) == 3
+    # theta = 1e300 puts every tau above the uniqueness bound
+    assert all("multiple solutions" in str(w.message) for w in caught)
+    err = capsys.readouterr().err
+    assert "float32" in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_eoc_smoke(tmp_path, capsys):
     cfg, out = write_config(tmp_path, EOC_SMOKE)
     assert main(["eoc", str(cfg), "--levels", "2"]) == 0

@@ -234,6 +234,13 @@ class TestLinearContext:
         with pytest.raises(SingularMatrix):
             LinearContext().solve(A, np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("big", [1e39, np.inf, np.nan])
+    def test_entry_beyond_float32_is_singular(self, big):
+        # raised before the float32 copy, which would warn of an overflow
+        A = sp.csc_matrix(np.array([[1.0, 0.0], [big, 1.0]]))
+        with pytest.raises(SingularMatrix, match="float32"):
+            lu_factor(A)
+
     def test_newton_matrix_factors_without_interchanges(
             self, reference_newton_matrix):
         matrix = reference_newton_matrix
@@ -305,6 +312,28 @@ class TestChemicalPotential:
             - theta * (ops.M @ alpha)) / eps
         beta = chemical_potential_for(mesh, alpha, self.CFG, pot)
         assert np.abs(ops.M @ beta - rhs).max() <= 1e-12 * np.abs(rhs).max()
+
+    # the last two cases give |rhs|^2 beyond the float64 range, above and
+    # below, so CG sees the right-hand side scaled by a power of two
+    @pytest.mark.parametrize("theta, eps, size", [
+        (0.0, 0.1, 1.0), (1.0, 0.1, 1.0), (1.0, 1e200, 1.0), (0.0, 1.0, 1e-170)])
+    def test_equals_direct_solve(self, mesh, theta, eps, size):
+        pot = quartic_potential(theta)
+        alpha = size * np.random.default_rng(9).uniform(-1, 1, mesh.node_count)
+        ops = assemble_operators(mesh)
+        rhs = eps * (ops.A @ alpha) + (
+            assemble_nonlinear_load(mesh, alpha, pot)
+            - theta * (ops.M @ alpha)) / eps
+        oracle = spla.spsolve(ops.M.tocsc(), rhs)
+        beta = chemical_potential_for(mesh, alpha, replace(self.CFG, eps=eps),
+                                      pot)
+        assert np.abs(beta - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+    def test_iteration_cap_raises(self, mesh, pot, monkeypatch):
+        monkeypatch.setattr(solver, "MASS_CG_MAXITER", 1)
+        alpha = np.random.default_rng(11).uniform(-1, 1, mesh.node_count)
+        with pytest.raises(IterativeBreakdown, match="Jacobi-PCG"):
+            chemical_potential_for(mesh, alpha, self.CFG, pot)
 
     def test_unused_node_is_singular(self, pot):
         # a node no triangle uses has an empty row of M
