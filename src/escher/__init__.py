@@ -36,7 +36,6 @@ from .meshing import (
     build_torus_mesh,
     mesh_quality,
     mesh_size_h,
-    prolong,
     prolong_to,
     refine,
     surface_area,

@@ -40,22 +40,21 @@ def discrete_mass(mesh, alpha):
     return float((ops.M @ check_length(mesh, alpha)).sum())
 
 
-def _difference(mesh, values_a, values_b):
-    return check_length(mesh, values_a) - check_length(mesh, values_b)
+def _distance(mesh, values_a, values_b, weight):
+    """sqrt(d^T W d) for d = a - b and W the operator called ``weight``."""
+    d = check_length(mesh, values_a) - check_length(mesh, values_b)
+    W = getattr(assemble_operators(mesh), weight)
+    return float(np.sqrt(max(d @ (W @ d), 0.0)))
 
 
 def l2_error(mesh, values_a, values_b):
     """Mass-weighted L2 distance between two nodal fields on one mesh."""
-    d = _difference(mesh, values_a, values_b)
-    ops = assemble_operators(mesh)
-    return float(np.sqrt(max(d @ (ops.M @ d), 0.0)))
+    return _distance(mesh, values_a, values_b, "M")
 
 
 def h1_semi_error(mesh, values_a, values_b):
     """Stiffness-weighted H1-seminorm distance between two nodal fields."""
-    d = _difference(mesh, values_a, values_b)
-    ops = assemble_operators(mesh)
-    return float(np.sqrt(max(d @ (ops.A @ d), 0.0)))
+    return _distance(mesh, values_a, values_b, "A")
 
 
 @dataclass(frozen=True)

@@ -231,33 +231,20 @@ class MeshHierarchy:
             hier.levels.append(refine(hier.levels[-1]))
         return hier
 
-    def prolongation(self, coarse_level):
-        if not 0 <= coarse_level < len(self.levels) - 1:
-            raise LevelOutOfRange(
-                f"no prolongation from level {coarse_level} in a "
-                f"{len(self.levels)}-level hierarchy"
-            )
-        return self.levels[coarse_level + 1].parent_map
-
-
-def prolong(hierarchy, coarse_level, values):
-    """Carry nodal values one level up: vertex parents copy, edge parents
-    average the two endpoint values (P1 interpolation)."""
-    P = hierarchy.prolongation(coarse_level)
-    values = np.asarray(values, dtype=float)
-    if values.shape[0] != P.shape[1]:
-        raise LengthMismatch(
-            f"expected {P.shape[1]} values on level {coarse_level}, "
-            f"got {values.shape[0]}"
-        )
-    return P @ values
-
 
 def prolong_to(hierarchy, from_level, to_level, values):
-    """Repeated prolongation from one hierarchy level to a finer one."""
-    if not 0 <= from_level <= to_level < len(hierarchy.levels):
+    """Carry nodal values from one hierarchy level up to a finer one by the
+    ``parent_map`` of each finer level: vertex parents copy, edge parents
+    average the two endpoint values (P1 interpolation).  The first axis of
+    ``values`` runs over the nodes, so (N, k) arrays prolong too."""
+    levels = hierarchy.levels
+    if not 0 <= from_level <= to_level < len(levels):
         raise LevelOutOfRange(f"bad level range {from_level}..{to_level}")
     out = np.asarray(values, dtype=float)
-    for lev in range(from_level, to_level):
-        out = prolong(hierarchy, lev, out)
+    n = levels[from_level].node_count
+    if out.shape[:1] != (n,):
+        raise LengthMismatch(f"nodal array of shape {out.shape} on level "
+                             f"{from_level}, a mesh with {n} nodes")
+    for mesh in levels[from_level + 1:to_level + 1]:
+        out = mesh.parent_map @ out
     return out

@@ -155,15 +155,16 @@ class LinearContext:
     Every system is solved by BiCGStab in double precision to ``RTOL``,
     preconditioned with a single-precision LU factor from ``lu_factor``;
     the Krylov iteration on float64 residuals recovers the digits the
-    float32 factor lacks.  The factor is kept across iterations and
-    timesteps: consecutive Jacobians differ little, so a few iterations
-    suffice.  Work is counted in preconditioner applies (two per BiCGStab
-    iteration, one for a solve that ends at the half-step).  When a solve
-    on a kept factor needs more than ``REFACTOR_MARGIN`` applies beyond the
-    first solve on that factor, the next system is factored afresh.  When
-    BiCGStab fails within ``REUSE_MAX_ITER`` iterations on a kept factor,
-    the system is factored afresh and solved again; on a fresh factor it
-    raises ``IterativeBreakdown``.
+    float32 factor lacks.  The right-hand side is scaled exactly by a power
+    of two, so its squared norm stays finite.  The factor is kept across
+    iterations and timesteps: consecutive Jacobians differ little, so a few
+    iterations suffice.  Work is counted in preconditioner applies (two per
+    BiCGStab iteration, one for a solve that ends at the half-step).  When a
+    solve on a kept factor needs more than ``REFACTOR_MARGIN`` applies
+    beyond the first solve on that factor, the next system is factored
+    afresh.  When BiCGStab fails within ``REUSE_MAX_ITER`` iterations on a
+    kept factor, the system is factored afresh and solved again; on a fresh
+    factor it raises ``IterativeBreakdown``.
     """
 
     # inner Krylov tolerance: inexact Newton directions are fine because the
@@ -192,6 +193,8 @@ class LinearContext:
         return (x if info == 0 and np.isfinite(x).all() else None), applies
 
     def solve(self, matrix, b):
+        _, exponent = np.frexp(np.abs(b).max())  # exact scaling: |b|^2 is finite
+        b = np.ldexp(b, -exponent)
         fresh = self._factor is None
         if fresh:
             self._factor = lu_factor(matrix)
@@ -209,7 +212,7 @@ class LinearContext:
             self._fresh_applies = applies
         elif applies > self._fresh_applies + self.REFACTOR_MARGIN:
             self._factor = None  # getting stale, refactor next time
-        return x
+        return np.ldexp(x, exponent)
 
 
 def _newton(ops, rhs1, rhs2, b_data, state, cfg, pot, mesh_next,
@@ -270,7 +273,8 @@ def _newton(ops, rhs1, rhs2, b_data, state, cfg, pot, mesh_next,
             limit = res if damped else ceiling
             for lam in 0.5 ** np.arange(12 if damped else 1):
                 trial = x + lam * delta
-                trial_res, trial_g = residual(trial)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    trial_res, trial_g = residual(trial)  # overflow: rejected
                 if trial_res < limit or trial_res <= cfg.newton_tol:
                     break
             else:

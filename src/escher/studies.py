@@ -1,10 +1,10 @@
 """Mesh-refinement convergence studies.
 
 The error against the exact solution is approximated by comparing against a
-fine run: the scheme is solved on each level of a refinement hierarchy, the
-terminal states are carried up to the finest mesh by repeated prolongation,
-and mass/stiffness-weighted distances to a reference solution computed
-there give the error column of the order-of-convergence tables.
+fine run.  One error pipeline carries each level's nodal values up to the
+hierarchy's top level by repeated prolongation and measures their distance
+to a reference there; ``eoc_study`` feeds it the scheme's terminal states,
+``interpolation_eoc`` nodal interpolants, which calibrates it on its own.
 
 The reference is the study's own scheme on one extra refinement level with
 a quarter of the finest level's timestep; timesteps scale with the squared
@@ -18,17 +18,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .diagnostics import EocTable, eoc, h1_semi_error, l2_error
-from .errors import ValidationError
+from .errors import LevelOutOfRange, ValidationError
 from .meshing import MeshHierarchy, build_icosphere, mesh_size_h, prolong_to
 from .solver import initial_data_interpolate, run_simulation
 
 
 @dataclass
 class ReferenceSolution:
-    """Fine solve shared between convergence studies."""
+    """Fine solve on the hierarchy's top level, shared between studies."""
 
     hierarchy: MeshHierarchy
-    level: int                 # index of the reference mesh in the hierarchy
     mesh_final: object         # reference mesh advanced to the final time
     alpha: np.ndarray
     beta: np.ndarray
@@ -62,9 +61,19 @@ def compute_reference(cfg, surface, pot, u0, base_subdivisions, levels):
     tau_ref = _level_tau(cfg, levels)
     alpha, beta, mesh_final = _run_level(cfg, hierarchy.levels[levels], u0,
                                          pot, tau_ref)
-    return ReferenceSolution(hierarchy=hierarchy, level=levels,
-                             mesh_final=mesh_final, alpha=alpha, beta=beta,
-                             tau=tau_ref)
+    return ReferenceSolution(hierarchy=hierarchy, mesh_final=mesh_final,
+                             alpha=alpha, beta=beta, tau=tau_ref)
+
+
+def _error_table(hierarchy, level_values, ref_mesh, ref_values, error, norm,
+                 variable):
+    """Orders of ``error`` between each level's nodal values, prolonged to
+    the hierarchy's top level, and ``ref_values`` on ``ref_mesh``."""
+    top = len(hierarchy.levels) - 1
+    errors = [error(ref_mesh, prolong_to(hierarchy, lev, top, v), ref_values)
+              for lev, v in enumerate(level_values)]
+    hs = [mesh_size_h(mesh) for mesh in hierarchy.levels[:len(level_values)]]
+    return eoc(errors, hs, norm=norm, variable=variable)
 
 
 def eoc_study(cfg, surface, pot, u0, base_subdivisions, levels, *,
@@ -85,24 +94,19 @@ def eoc_study(cfg, surface, pot, u0, base_subdivisions, levels, *,
         reference = compute_reference(cfg, surface, pot, u0,
                                       base_subdivisions, levels)
     hierarchy = reference.hierarchy
-    if reference.level < levels:
-        raise ValueError("reference hierarchy has fewer levels than requested")
+    if len(hierarchy.levels) <= levels:
+        raise LevelOutOfRange(f"reference hierarchy stops below level {levels}")
 
     taus = tuple(_level_tau(cfg, lev) for lev in range(levels))
-    outcomes = [_run_level_star((cfg, hierarchy.levels[lev], u0, pot, tau))
-                for lev, tau in enumerate(taus)]
-
-    hs, err_u, err_w = [], [], []
-    for lev, (alpha, beta, _mesh) in enumerate(outcomes):
-        up = prolong_to(hierarchy, lev, reference.level, alpha)
-        wp = prolong_to(hierarchy, lev, reference.level, beta)
-        hs.append(mesh_size_h(hierarchy.levels[lev]))
-        err_u.append(l2_error(reference.mesh_final, up, reference.alpha))
-        err_w.append(l2_error(reference.mesh_final, wp, reference.beta))
-
+    alphas, betas, _ = zip(*[
+        _run_level_star((cfg, hierarchy.levels[lev], u0, pot, tau))
+        for lev, tau in enumerate(taus)])
+    mesh = reference.mesh_final
     return EocStudyResult(
-        table_u=eoc(err_u, hs, norm="L2", variable="u"),
-        table_w=eoc(err_w, hs, norm="L2", variable="w"),
+        table_u=_error_table(hierarchy, alphas, mesh, reference.alpha,
+                             l2_error, "L2", "u"),
+        table_w=_error_table(hierarchy, betas, mesh, reference.beta,
+                             l2_error, "L2", "w"),
         reference=reference,
         taus=taus,
     )
@@ -119,26 +123,19 @@ def interpolation_eoc(surface, base_subdivisions, levels, func,
 
     Interpolates a smooth function on each level, prolongs to a fine
     reference mesh, and measures L2 and H1-seminorm distances to the fine
-    interpolant: expected orders 2 and 1.  This calibrates the mesh,
-    prolongation and norm machinery on their own.  ``reference_extra``
+    interpolant: expected orders 2 and 1.  This calibrates the error
+    pipeline ``eoc_study`` measures through on its own.  ``reference_extra``
     sets how many refinements beyond the finest compared level the
     reference sits; pushing it out shrinks the comparison bias that
     otherwise inflates the last order entry.
     """
     base = build_icosphere(surface, base_subdivisions)
-    top_level = levels - 1 + reference_extra
-    hierarchy = MeshHierarchy.build(base, top_level)
-    top = hierarchy.levels[top_level]
-    fine_vals = initial_data_interpolate(top, func)
-
-    hs, e_l2, e_h1 = [], [], []
-    for lev in range(levels):
-        mesh = hierarchy.levels[lev]
-        coarse = initial_data_interpolate(mesh, func)
-        up = prolong_to(hierarchy, lev, top_level, coarse)
-        hs.append(mesh_size_h(mesh))
-        e_l2.append(l2_error(top, up, fine_vals))
-        e_h1.append(h1_semi_error(top, up, fine_vals))
-
-    return (eoc(e_l2, hs, norm="L2", variable="interpolant"),
-            eoc(e_h1, hs, norm="H1-semi", variable="interpolant"))
+    hierarchy = MeshHierarchy.build(base, levels - 1 + reference_extra)
+    top = hierarchy.levels[-1]
+    fine = initial_data_interpolate(top, func)
+    coarse = [initial_data_interpolate(mesh, func)
+              for mesh in hierarchy.levels[:levels]]
+    return (_error_table(hierarchy, coarse, top, fine, l2_error, "L2",
+                         "interpolant"),
+            _error_table(hierarchy, coarse, top, fine, h1_semi_error,
+                         "H1-semi", "interpolant"))

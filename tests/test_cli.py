@@ -232,6 +232,21 @@ def test_beyond_float32_exit_code(tmp_path, capsys, setting):
     assert not out.exists()
 
 
+def test_imex_theta_beyond_float64_exit_code(tmp_path, capsys):
+    # the IMEX matrix holds no theta, but the right-hand side is near the
+    # float64 limit: the linear solve must not overflow, and a trial step
+    # whose cubic load overflows is rejected, so Newton reports divergence
+    cfg, out = write_config(tmp_path, SMOKE_RUN.replace(
+        "eps = 0.1", "eps = 0.1\ntheta = 1e300"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", str(cfg)]) == 3
+    assert not caught
+    err = capsys.readouterr().err
+    assert "no convergence" in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_eoc_smoke(tmp_path, capsys):
     cfg, out = write_config(tmp_path, EOC_SMOKE)
     assert main(["eoc", str(cfg), "--levels", "2"]) == 0

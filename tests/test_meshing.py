@@ -21,7 +21,6 @@ from escher.meshing import (
     build_torus_mesh,
     mesh_quality,
     mesh_size_h,
-    prolong,
     prolong_to,
     refine,
     surface_area,
@@ -214,26 +213,26 @@ class TestHierarchyAndProlongation:
         assert counts == sorted(counts) and len(set(counts)) == 3
 
     def test_parent_rows_sum_to_one(self, hierarchy):
-        P = hierarchy.prolongation(0)
+        P = hierarchy.levels[1].parent_map
         npt.assert_allclose(np.asarray(P.sum(axis=1)).ravel(), 1.0)
 
     def test_constants_are_reproduced(self, hierarchy):
         coarse = np.full(hierarchy.levels[0].node_count, 3.7)
-        npt.assert_array_equal(prolong(hierarchy, 0, coarse), 3.7)
+        npt.assert_array_equal(prolong_to(hierarchy, 0, 1, coarse), 3.7)
 
     def test_linears_exact_on_parent_elements(self, hierarchy):
         # P commutes with affine functions of the parent nodes
         g = np.array([0.3, -1.1, 0.7])
         coarse_nodes = hierarchy.levels[0].nodes
-        P = hierarchy.prolongation(0)
-        npt.assert_allclose(prolong(hierarchy, 0, coarse_nodes @ g),
+        P = hierarchy.levels[1].parent_map
+        npt.assert_allclose(prolong_to(hierarchy, 0, 1, coarse_nodes @ g),
                             (P @ coarse_nodes) @ g, atol=1e-14)
 
     def test_hat_function_children(self, hierarchy):
         coarse = np.zeros(hierarchy.levels[0].node_count)
         coarse[5] = 1.0
-        fine = prolong(hierarchy, 0, coarse)
-        P = hierarchy.prolongation(0)
+        fine = prolong_to(hierarchy, 0, 1, coarse)
+        P = hierarchy.levels[1].parent_map
         midpoint_rows = np.where(np.diff(P.indptr) == 2)[0]
         touching = [r for r in midpoint_rows if P[r, 5] != 0]
         assert touching and all(fine[r] == pytest.approx(0.5) for r in touching)
@@ -241,7 +240,7 @@ class TestHierarchyAndProlongation:
     def test_max_principle(self, hierarchy):
         rng = np.random.default_rng(5)
         coarse = rng.normal(size=hierarchy.levels[0].node_count)
-        fine = prolong(hierarchy, 0, coarse)
+        fine = prolong_to(hierarchy, 0, 2, coarse)
         assert fine.min() >= coarse.min() - 1e-15
         assert fine.max() <= coarse.max() + 1e-15
 
@@ -249,13 +248,31 @@ class TestHierarchyAndProlongation:
         rng = np.random.default_rng(6)
         coarse = rng.normal(size=hierarchy.levels[0].node_count)
         two = prolong_to(hierarchy, 0, 2, coarse)
-        one = prolong(hierarchy, 1, prolong(hierarchy, 0, coarse))
+        one = prolong_to(hierarchy, 1, 2, prolong_to(hierarchy, 0, 1, coarse))
         npt.assert_array_equal(two, one)
+        P1, P2 = (mesh.parent_map for mesh in hierarchy.levels[1:])
+        npt.assert_array_equal(two, P2 @ (P1 @ coarse))
+
+    def test_same_level_is_the_identity(self, hierarchy):
+        values = np.arange(float(hierarchy.levels[1].node_count))
+        npt.assert_array_equal(prolong_to(hierarchy, 1, 1, values), values)
+
+    def test_columns_prolong_one_by_one(self, hierarchy):
+        # an (N, 3) array prolongs column by column: the node positions
+        coarse = hierarchy.levels[0].nodes
+        fine = prolong_to(hierarchy, 0, 2, coarse)
+        assert fine.shape == (hierarchy.levels[2].node_count, 3)
+        for k in range(3):
+            npt.assert_array_equal(fine[:, k],
+                                   prolong_to(hierarchy, 0, 2, coarse[:, k]))
 
     def test_level_out_of_range(self, hierarchy):
-        with pytest.raises(LevelOutOfRange):
-            hierarchy.prolongation(2)
+        values = np.zeros(hierarchy.levels[0].node_count)
+        for levels in [(2, 3), (1, 0), (-1, 1)]:
+            with pytest.raises(LevelOutOfRange):
+                prolong_to(hierarchy, *levels, values)
 
     def test_length_mismatch(self, hierarchy):
-        with pytest.raises(LengthMismatch):
-            prolong(hierarchy, 0, np.zeros(7))
+        for shape in [(7,), (7, 3), ()]:
+            with pytest.raises(LengthMismatch):
+                prolong_to(hierarchy, 0, 1, np.zeros(shape))

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from escher.config import sphere_eoc_initial
-from escher.errors import ValidationError
+from escher.errors import LevelOutOfRange, ValidationError
 from escher.potentials import quartic_potential
 from escher.solver import SchemeConfig
-from escher.studies import eoc_study, interpolation_eoc
+from escher.studies import compute_reference, eoc_study, interpolation_eoc
 from escher.surfaces import OscillatingSphere, StaticSphere
 
 
@@ -43,6 +43,14 @@ def test_imex_levels_against_shared_reference(tiny_study):
                      sphere_eoc_initial, 1, 2, reference=ref)
     assert imex.table_u.variable == "u"
     assert all(e > 0 for e in imex.table_u.errors)
+
+
+def test_shared_reference_with_too_few_levels(tiny_study):
+    # a reference on level 1 cannot serve a study whose finest level is 1
+    cfg, surface, pot = tiny_study
+    ref = compute_reference(cfg, surface, pot, sphere_eoc_initial, 1, 1)
+    with pytest.raises(LevelOutOfRange):
+        eoc_study(cfg, surface, pot, sphere_eoc_initial, 1, 2, reference=ref)
 
 
 def test_needs_two_levels(tiny_study):
