@@ -1,10 +1,12 @@
 """File emission: legacy VTK snapshots and CSV tables.
 
 VTK files are legacy 2.0 ASCII POLYDATA with triangle polygons and named
-scalar point-data arrays written at 17 significant digits.  CSV files use
-full double precision with '.' as the decimal separator; diagnostics
-tables have one column per field of ``DiagnosticRecord`` and EOC tables
-are ``h,error,eoc`` with an empty order on the first row.
+scalar point-data arrays written at 17 significant digits; each block is
+one ``%`` format of ``np.savetxt``'s row format, so the text is savetxt's
+without its per-row loop.  CSV files use full double precision with '.' as
+the decimal separator; diagnostics tables have one column per field of
+``DiagnosticRecord`` and EOC tables are ``h,error,eoc`` with an empty
+order on the first row.
 """
 
 from dataclasses import fields
@@ -20,28 +22,32 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
+def _write_block(fh, arr, row_fmt):
+    fh.write(((row_fmt + "\n") * len(arr)) % tuple(np.ravel(arr).tolist()))
+
+
 def write_vtk(mesh, arrays, path):
-    """Write a mesh with named nodal scalar arrays as legacy ASCII VTK."""
+    """Write a mesh with named nodal scalar arrays as legacy ASCII VTK.
+
+    Each block is one ``%`` format, so the text is ``np.savetxt``'s."""
     arrays = {name: check_length(mesh, values)
               for name, values in (arrays or {}).items()}
     n = mesh.node_count
     try:
         with open(path, "w", encoding="ascii") as fh:
-            fh.write("# vtk DataFile Version 2.0\n")
-            fh.write(f"escher surface snapshot t={mesh.current_time!r}\n")
-            fh.write("ASCII\n")
-            fh.write("DATASET POLYDATA\n")
-            fh.write(f"POINTS {n} double\n")
-            np.savetxt(fh, mesh.nodes, fmt="%.17g")
+            fh.write("# vtk DataFile Version 2.0\n"
+                     f"escher surface snapshot t={mesh.current_time!r}\n"
+                     f"ASCII\nDATASET POLYDATA\nPOINTS {n} double\n")
+            _write_block(fh, mesh.nodes, "%.17g %.17g %.17g")
             nt = mesh.triangle_count
             fh.write(f"POLYGONS {nt} {4 * nt}\n")
-            np.savetxt(fh, mesh.triangles, fmt="3 %d %d %d")
+            _write_block(fh, mesh.triangles, "3 %d %d %d")
             if arrays:
                 fh.write(f"POINT_DATA {n}\n")
                 for name, values in arrays.items():
                     fh.write(f"SCALARS {name} double 1\n")
                     fh.write("LOOKUP_TABLE default\n")
-                    np.savetxt(fh, values, fmt="%.17g")
+                    _write_block(fh, values, "%.17g")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 

@@ -31,7 +31,7 @@ implicit scheme, no bound for the implicit-explicit one.  A timestep at or
 above it triggers a warning, not an error, since the scheme may still
 converge to one of the admissible solutions.  Below it Newton starts from
 the polynomial extrapolant of the last three time levels (two on the second
-step), and from the previous time level when that diverges.
+step), and from the previous time level when that diverges or breaks down.
 
 ``SchemeConfig.validate`` checks every setting the schemes read, the
 timestep dividing the final time included; ``config.RunConfig`` extends it.
@@ -305,11 +305,11 @@ def _extrapolate(levels):
 
 def _newton_from(args, initial_guess, context):
     """Newton from ``initial_guess`` when one is given, and from the
-    previous state when none is or when the guess diverges."""
+    previous state when none is or the guess diverges or breaks down."""
     if initial_guess is not None:
         try:
             return _newton(*args, initial_guess=initial_guess, context=context)
-        except NewtonDivergence:
+        except (NewtonDivergence, IterativeBreakdown):
             pass
     return _newton(*args, context=context)
 
@@ -319,7 +319,7 @@ def step_fully_implicit(mesh_prev, mesh_next, state, cfg, pot,
     """One backward-Euler step with the whole well treated implicitly.
 
     Newton starts from ``initial_guess`` when one is given and from the
-    previous time level when none is or when the guess diverges;
+    previous time level when none is or when the guess fails;
     ``run_simulation`` passes the extrapolant of the last time levels where
     each step has one solution.  For timesteps above the uniqueness bound
     the iteration can fail in the nonconvex residual landscape, so the

@@ -25,6 +25,7 @@ from escher.assembly import (
 from escher.config import sphere_eoc_initial
 from escher.diagnostics import discrete_mass, ginzburg_landau_energy, l2_error
 from escher.errors import (
+    EscherError,
     IterativeBreakdown,
     LengthMismatch,
     NewtonDivergence,
@@ -465,6 +466,69 @@ class TestSteps:
             deltas.append(np.abs(finals["fully_implicit"] - finals["imex"]).max())
         for coarse, fine in zip(deltas[:-1], deltas[1:]):
             assert 1.6 <= coarse / fine <= 2.4
+
+
+class TestPreviousStateRetry:
+    """A given start that fails is retried from the previous state."""
+
+    CFG = SchemeConfig(eps=0.1, tau=1e-3, t_end=1e-2)
+
+    @pytest.fixture(scope="class")
+    def start(self, pot):
+        mesh = build_icosphere(StaticSphere(), 2)
+        alpha = initial_data_interpolate(mesh, sphere_eoc_initial)
+        return mesh, make_state(mesh, alpha, self.CFG, pot)
+
+    @staticmethod
+    def step_recording(stepper, *args, **kwargs):
+        """Run ``stepper``; return its state and, per ``_newton`` call, the
+        type of error it raised or None when it converged."""
+        newton, outcomes = solver._newton, []
+
+        def recording(*a, **kw):
+            try:
+                out = newton(*a, **kw)
+            except EscherError as exc:
+                outcomes.append(type(exc))
+                raise
+            outcomes.append(None)
+            return out
+
+        with mock.patch.object(solver, "_newton", recording):
+            return stepper(*args, **kwargs), outcomes
+
+    @pytest.mark.parametrize("stepper", [step_fully_implicit, step_imex])
+    def test_after_breakdown(self, start, pot, stepper):
+        # from 1e8 everywhere BiCGStab breaks down on the first linearisation
+        mesh, state = start
+        mesh_next = advance_mesh(mesh, self.CFG.tau)
+        far = np.full(mesh.node_count, 1e8)
+        out, outcomes = self.step_recording(stepper, mesh, mesh_next, state,
+                                            self.CFG, pot,
+                                            initial_guess=(far, far))
+        assert outcomes == [IterativeBreakdown, None]
+        assert (out.time, out.step) == (mesh_next.current_time, 1)
+        assert out.residual_history[-1] <= self.CFG.newton_tol
+        assert out.newton_iters == 3
+
+    @pytest.mark.parametrize("stepper", [step_fully_implicit, step_imex])
+    def test_after_divergence(self, start, pot, stepper):
+        # the previous state converges in 3 iterations; a guess one unit
+        # away per node needs more, so it diverges within a budget of 3
+        mesh, state = start
+        mesh_next = advance_mesh(mesh, self.CFG.tau)
+        cfg = replace(self.CFG, newton_max_iter=3)
+        rng = np.random.default_rng(0)
+        guess = (state.alpha + rng.normal(size=mesh.node_count),
+                 state.beta + rng.normal(size=mesh.node_count))
+        out, outcomes = self.step_recording(stepper, mesh, mesh_next, state,
+                                            cfg, pot, initial_guess=guess)
+        assert outcomes == [NewtonDivergence, None]
+        assert (out.time, out.step) == (mesh_next.current_time, 1)
+        assert out.residual_history[-1] <= cfg.newton_tol
+        direct = stepper(mesh, mesh_next, state, cfg, pot)
+        assert np.abs(out.alpha - direct.alpha).max() <= 1e-9
+        assert np.abs(out.beta - direct.beta).max() <= 1e-9
 
 
 class TestRescueLadder:
