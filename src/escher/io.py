@@ -9,6 +9,7 @@ the decimal separator; diagnostics tables have one column per field of
 order on the first row.
 """
 
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -29,9 +30,14 @@ def _write_block(fh, arr, row_fmt):
 def write_vtk(mesh, arrays, path):
     """Write a mesh with named nodal scalar arrays as legacy ASCII VTK.
 
-    Each block is one ``%`` format, so the text is ``np.savetxt``'s."""
+    Each block is one ``%`` format, so the text is ``np.savetxt``'s.  Array
+    names must be printable ASCII without whitespace, which readers split."""
     arrays = {name: check_length(mesh, values)
               for name, values in (arrays or {}).items()}
+    for name in arrays:
+        if not re.fullmatch("[!-~]+", str(name)):
+            raise IoError(f"VTK array name {name!r} is not printable ASCII "
+                          "without whitespace")
     n = mesh.node_count
     try:
         with open(path, "w", encoding="ascii") as fh:

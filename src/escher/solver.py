@@ -29,9 +29,11 @@ Each step has one solution below the scheme's uniqueness bound
 (``SchemeConfig.uniqueness_bound``): ``4 eps^3 / theta^2`` for the fully
 implicit scheme, no bound for the implicit-explicit one.  A timestep at or
 above it triggers a warning, not an error, since the scheme may still
-converge to one of the admissible solutions.  Below it Newton starts from
-the polynomial extrapolant of the last three time levels (two on the second
-step), and from the previous time level when that diverges or breaks down.
+converge to one of the admissible solutions.  Newton tries one ladder of
+starts (``_ladder``): below the bound the extrapolant of the last three
+time levels (two on the second step), the previous time level, and for the
+fully implicit scheme an IMEX warm start, then two half-steps.  A start
+fails on NewtonDivergence or IterativeBreakdown; SingularMatrix ends the step.
 
 ``SchemeConfig.validate`` checks every setting the schemes read, the
 timestep dividing the final time included; ``config.RunConfig`` extends it.
@@ -303,78 +305,74 @@ def _extrapolate(levels):
                  for name in ("alpha", "beta"))
 
 
-def _newton_from(args, initial_guess, context):
-    """Newton from ``initial_guess`` when one is given, and from the
-    previous state when none is or the guess diverges or breaks down."""
-    if initial_guess is not None:
+def _ladder(args, context, starts):
+    """Newton from each start in turn: a callable returning the initial
+    guess, or None for the previous state.  A start fails when its guess or
+    Newton from it raises NewtonDivergence or IterativeBreakdown; the last
+    failure is raised when none is left.  Any other error ends the step."""
+    for start in starts:
         try:
-            return _newton(*args, initial_guess=initial_guess, context=context)
-        except (NewtonDivergence, IterativeBreakdown):
-            pass
-    return _newton(*args, context=context)
+            guess = None if start is None else start()
+            return _newton(*args, initial_guess=guess, context=context)
+        except (NewtonDivergence, IterativeBreakdown) as exc:
+            failure = exc
+    raise failure
 
 
 def step_fully_implicit(mesh_prev, mesh_next, state, cfg, pot,
                         initial_guess=None, context=None, _depth=0):
     """One backward-Euler step with the whole well treated implicitly.
 
-    Newton starts from ``initial_guess`` when one is given and from the
-    previous time level when none is or when the guess fails;
-    ``run_simulation`` passes the extrapolant of the last time levels where
-    each step has one solution.  For timesteps above the uniqueness bound
-    the iteration can fail in the nonconvex residual landscape, so the
-    step falls back to better warm starts: first the implicit-explicit
-    solution of the same step (its monotone implicit part solves
-    reliably), then two recursive half-steps whose endpoint approximates
-    the full-step solution to second order in tau.  The system Newton
-    finally converges on is the full-tau fully implicit one in every case;
-    if no warm start reaches it the divergence is reported.
+    Newton walks one ladder of starts (``_ladder``): ``initial_guess`` when
+    one is given (``run_simulation`` passes the extrapolant where each step
+    has one solution), the previous time level, the implicit-explicit
+    solution of the same step (solvable at every tau), then, below 8
+    halvings, the endpoint of two recursive half-steps (continuation in
+    tau).  A start fails on NewtonDivergence or IterativeBreakdown, and the
+    last failure is raised when none is left; SingularMatrix stops the step
+    at once.  Every start solves the full-tau fully implicit system.
     """
     _check_state(mesh_prev, state)
     ops_prev = assemble_operators(mesh_prev)
     ops = assemble_operators(mesh_next)
     rhs1 = ops_prev.M @ state.alpha
-    rhs2 = np.zeros_like(rhs1)
     b_data = (-cfg.eps) * ops.A.data + (pot.theta / cfg.eps) * ops.M.data
-    args = (ops, rhs1, rhs2, b_data, state, cfg, pot, mesh_next)
-    try:
-        return _newton_from(args, initial_guess, context)
-    except NewtonDivergence:
-        pass
-    try:
-        warm = step_imex(mesh_prev, mesh_next, state, cfg, pot,
-                         context=context)
-        return _newton(*args, initial_guess=(warm.alpha, warm.beta),
-                       context=context)
-    except NewtonDivergence:
-        if _depth >= 8:
-            raise
-    half_cfg = replace(cfg, tau=0.5 * cfg.tau)
-    t_mid = mesh_next.current_time - half_cfg.tau
-    mesh_mid = advance_mesh(mesh_prev, t_mid)
-    first = step_fully_implicit(mesh_prev, mesh_mid, state, half_cfg, pot,
-                                context=context, _depth=_depth + 1)
-    second = step_fully_implicit(mesh_mid, mesh_next, first, half_cfg, pot,
-                                 context=context, _depth=_depth + 1)
-    return _newton(*args, initial_guess=(second.alpha, second.beta),
-                   context=context)
+
+    def imex_step():
+        out = step_imex(mesh_prev, mesh_next, state, cfg, pot, context=context)
+        return out.alpha, out.beta
+
+    def half_steps():
+        half = replace(cfg, tau=0.5 * cfg.tau)
+        mesh_mid = advance_mesh(mesh_prev, mesh_next.current_time - half.tau)
+        first = step_fully_implicit(mesh_prev, mesh_mid, state, half, pot,
+                                    context=context, _depth=_depth + 1)
+        second = step_fully_implicit(mesh_mid, mesh_next, first, half, pot,
+                                     context=context, _depth=_depth + 1)
+        return second.alpha, second.beta
+
+    given = [None] if initial_guess is None else [lambda: initial_guess, None]
+    rescues = [imex_step, half_steps] if _depth < 8 else [imex_step]
+    return _ladder((ops, rhs1, np.zeros_like(rhs1), b_data, state, cfg, pot,
+                    mesh_next), context, given + rescues)
 
 
 def step_imex(mesh_prev, mesh_next, state, cfg, pot, initial_guess=None,
               context=None):
     """One convex-concave splitting step: convex part implicit, concave
-    quadratic explicit at the previous time level.  Newton starts as in
-    ``step_fully_implicit``; the implicit part is convex, so every start
-    leads to the one solution and ``run_simulation`` always passes the
-    extrapolant."""
+    quadratic explicit at the previous time level.  Newton starts from
+    ``initial_guess``, if given, then the previous time level (``_ladder``);
+    the implicit part is convex, so every start leads to the one solution
+    and ``run_simulation`` always passes the extrapolant."""
     _check_state(mesh_prev, state)
     ops_prev = assemble_operators(mesh_prev)
     ops = assemble_operators(mesh_next)
     m_alpha = ops_prev.M @ state.alpha
     rhs2 = (-pot.theta / cfg.eps) * m_alpha
     b_data = (-cfg.eps) * ops.A.data
-    return _newton_from((ops, m_alpha, rhs2, b_data, state, cfg, pot,
-                         mesh_next), initial_guess, context)
+    given = [None] if initial_guess is None else [lambda: initial_guess, None]
+    return _ladder((ops, m_alpha, rhs2, b_data, state, cfg, pot, mesh_next),
+                   context, given)
 
 
 _STEPPERS = {FULLY_IMPLICIT: step_fully_implicit, IMEX: step_imex}

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays as np_arrays
 
 from escher.diagnostics import DiagnosticRecord, eoc
-from escher.errors import LengthMismatch
+from escher.errors import IoError, LengthMismatch
 from escher.io import write_diagnostics_csv, write_eoc_csv, write_vtk
 from escher.meshing import SurfaceMesh, build_icosphere
 from escher.surfaces import StaticSphere
@@ -115,6 +115,15 @@ def test_vtk_text_equals_savetxt(tmp_path_factory, snapshot):
 def test_vtk_wrong_length(mesh, tmp_path):
     with pytest.raises(LengthMismatch):
         write_vtk(mesh, {"u": np.zeros(5)}, tmp_path / "bad.vtk")
+
+
+@pytest.mark.parametrize("name", ["ü", "two words", ""])
+def test_vtk_array_name_rejected(mesh, tmp_path, name):
+    # legacy-VTK readers split a SCALARS line at whitespace
+    path = tmp_path / "bad.vtk"
+    with pytest.raises(IoError):
+        write_vtk(mesh, {name: np.zeros(12)}, path)
+    assert not path.exists()
 
 
 def test_diagnostics_csv(tmp_path):

@@ -548,13 +548,23 @@ class TestRescueLadder:
               - assemble_nonlinear_load(mesh, state.alpha, pot) / eps)
         return max(np.abs(g1).max(), np.abs(g2).max())
 
-    def test_both_rungs_rescue(self, pot, monkeypatch):
+    # the run amplifies roundoff (a relative change of 1e-16 in beta_0 moves
+    # the Newton count of step 20), so both rungs must fire under each of
+    # several perturbations, not at one roundoff pattern only
+    @pytest.mark.parametrize("r", [0.0, 1e-15, -1e-15])
+    def test_both_rungs_rescue(self, pot, monkeypatch, r):
         mesh = build_icosphere(StaticSphere(), 2)
         cfg = SchemeConfig(eps=0.05, tau=1e-3, t_end=0.02)
         assert cfg.tau == pytest.approx(2 * cfg.uniqueness_bound(pot))
         warm_starts, half_steps = [], []
-        step_imex, step_fully_implicit = (solver.step_imex,
-                                          solver.step_fully_implicit)
+        step_imex, step_fully_implicit, chemical_potential = (
+            solver.step_imex, solver.step_fully_implicit,
+            solver.chemical_potential_for)
+
+        def perturbed(*args, **kwargs):  # beta_0 (1 + r U(-1, 1))
+            beta = chemical_potential(*args, **kwargs)
+            rng = np.random.default_rng(0)
+            return beta * (1.0 + r * rng.uniform(-1.0, 1.0, beta.size))
 
         def imex_spy(*args, **kwargs):
             warm_starts.append(args[2].step)
@@ -567,6 +577,7 @@ class TestRescueLadder:
 
         monkeypatch.setattr(solver, "step_imex", imex_spy)
         monkeypatch.setattr(solver, "step_fully_implicit", fully_implicit_spy)
+        monkeypatch.setattr(solver, "chemical_potential_for", perturbed)
         alpha = initial_data_interpolate(mesh, sphere_eoc_initial)
         with pytest.warns(RuntimeWarning):
             result = run_simulation(cfg, mesh, alpha, pot, snapshot_every=1)
@@ -584,6 +595,81 @@ class TestRescueLadder:
         steps = np.arange(len(masses))
         assert np.all(np.abs(masses - masses[0])
                       <= 1e-8 * abs(masses[0]) + steps * cfg.newton_tol)
+
+
+class TestFailingDescent:
+    """A fully implicit step that no start solves walks the whole ladder and
+    raises a typed error.  When every first half-step fails too, as here,
+    each of the 9 depths of halving makes at most 3 Newton calls (previous
+    state, the one inside the IMEX warm start, Newton from the warm start),
+    each within two passes of ``newton_max_iter`` Jacobians."""
+
+    @pytest.fixture(scope="class")
+    def mesh(self):
+        return build_icosphere(StaticSphere(), 2)
+
+    @staticmethod
+    def far(mesh):  # BiCGStab breaks down on the first linearisation
+        big = np.full(mesh.node_count, 1e8)
+        return (SchemeConfig(eps=0.1, tau=1e-3, t_end=1e-2),
+                PhaseState(big, big.copy()))
+
+    @staticmethod
+    def wild(mesh):  # Newton diverges within its one iteration
+        alpha = 1e4 * np.random.default_rng(2).normal(size=mesh.node_count)
+        return (SchemeConfig(eps=0.05, tau=1e-3, t_end=1e-2, newton_max_iter=1,
+                             newton_tol=1e-14),
+                PhaseState(alpha, np.zeros_like(alpha)))
+
+    @staticmethod
+    def failing_step(mesh, cfg, state, pot, monkeypatch):
+        """Run the step, which must raise an EscherError; return the calls it
+        made in order: ("imex",) per IMEX warm start and, per ``_newton``
+        call, ("newton", the error type it raised or None, its Jacobians)."""
+        calls, jacobians = [], []
+        newton, jacobian, imex = (solver._newton,
+                                  solver.assemble_nonlinear_jacobian,
+                                  solver.step_imex)
+
+        def newton_spy(*args, **kwargs):
+            start, outcome = len(jacobians), None
+            try:
+                return newton(*args, **kwargs)
+            except EscherError as exc:
+                outcome = type(exc)
+                raise
+            finally:
+                calls.append(("newton", outcome, len(jacobians) - start))
+
+        def jacobian_spy(*args, **kwargs):
+            jacobians.append(None)
+            return jacobian(*args, **kwargs)
+
+        def imex_spy(*args, **kwargs):
+            calls.append(("imex",))
+            return imex(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_newton", newton_spy)
+        monkeypatch.setattr(solver, "assemble_nonlinear_jacobian", jacobian_spy)
+        monkeypatch.setattr(solver, "step_imex", imex_spy)
+        with pytest.raises(EscherError):
+            step_fully_implicit(mesh, advance_mesh(mesh, cfg.tau), state, cfg,
+                                pot)
+        return calls
+
+    def test_breakdown_walks_the_ladder(self, mesh, pot, monkeypatch):
+        cfg, state = self.far(mesh)
+        calls = self.failing_step(mesh, cfg, state, pot, monkeypatch)
+        assert calls[0][:2] == ("newton", IterativeBreakdown)
+        assert ("imex",) in calls[1:]
+
+    @pytest.mark.parametrize("case", ["far", "wild"])
+    def test_bounded_descent(self, mesh, pot, monkeypatch, case):
+        cfg, state = getattr(self, case)(mesh)
+        calls = self.failing_step(mesh, cfg, state, pot, monkeypatch)
+        newton = [call for call in calls if call[0] == "newton"]
+        assert 1 <= len(newton) <= 3 * 9
+        assert max(j for _, _, j in newton) <= 2 * cfg.newton_max_iter
 
 
 class TestExtrapolatedStart:
