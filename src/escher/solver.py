@@ -20,10 +20,12 @@ by BiCGStab preconditioned with one single-precision sparse LU factor
 (``lu_factor``, defined here) in the fill-reducing order of
 ``assembly.BlockLayout``, kept across iterations and timesteps and refreshed
 when a solve needs clearly more preconditioner applies than the first one
-on it did.  The initial chemical potential takes one Jacobi-PCG solve with
-the mass matrix M, D = diag M: kappa(D^-1 M) <= 4 for P1 triangles (Wathen,
-IMA J. Numer. Anal. 7, 1987).  Testing the first block row with constants
-shows ``1^T M alpha`` is conserved by construction.
+on it did.  BiCGStab also stops at a residual of ``newton_tol / 2``, which
+Newton's test cannot see below (Dembo, Eisenstat & Steihaug, SIAM J. Numer.
+Anal. 19, 1982).  The initial chemical potential takes one Jacobi-PCG solve
+with the mass matrix M, D = diag M: kappa(D^-1 M) <= 4 for P1 triangles
+(Wathen, IMA J. Numer. Anal. 7, 1987).  Testing the first block row with
+constants shows ``1^T M alpha`` is conserved by construction.
 
 Each step has one solution below the scheme's uniqueness bound
 (``SchemeConfig.uniqueness_bound``): ``4 eps^3 / theta^2`` for the fully
@@ -154,11 +156,12 @@ def lu_factor(A):
 class LinearContext:
     """Linear solves for Newton iterations, reusable across timesteps.
 
-    Every system is solved by BiCGStab in double precision to ``RTOL``,
-    preconditioned with a single-precision LU factor from ``lu_factor``;
-    the Krylov iteration on float64 residuals recovers the digits the
-    float32 factor lacks.  The right-hand side is scaled exactly by a power
-    of two, so its squared norm stays finite.  The factor is kept across
+    Every system is solved by BiCGStab in double precision to a residual
+    2-norm below ``RTOL`` |b| or the absolute ``floor`` of ``solve``, the
+    larger, preconditioned with a single-precision LU factor from
+    ``lu_factor``; the Krylov iteration on float64 residuals recovers the
+    digits the float32 factor lacks.  b and the floor are scaled exactly by
+    a power of two, so |b|^2 stays finite.  The factor is kept across
     iterations and timesteps: consecutive Jacobians differ little, so a few
     iterations suffice.  Work is counted in preconditioner applies (two per
     BiCGStab iteration, one for a solve that ends at the half-step).  When a
@@ -179,7 +182,7 @@ class LinearContext:
         self._factor = None
         self._fresh_applies = 0  # applies of the first solve on the factor
 
-    def _bicgstab(self, matrix, b):
+    def _bicgstab(self, matrix, b, atol=0.0):
         factor = self._factor
         applies = 0
 
@@ -191,21 +194,22 @@ class LinearContext:
         x, info = spla.bicgstab(
             matrix, b, M=spla.LinearOperator(matrix.shape, precondition,
                                              dtype=float),
-            rtol=self.RTOL, atol=1e-300, maxiter=self.REUSE_MAX_ITER)
+            rtol=self.RTOL, atol=atol, maxiter=self.REUSE_MAX_ITER)
         return (x if info == 0 and np.isfinite(x).all() else None), applies
 
-    def solve(self, matrix, b):
+    def solve(self, matrix, b, floor=0.0):
         _, exponent = np.frexp(np.abs(b).max())  # exact scaling: |b|^2 is finite
         b = np.ldexp(b, -exponent)
+        atol = np.ldexp(floor, -exponent)  # the floor in b's scaling
         fresh = self._factor is None
         if fresh:
             self._factor = lu_factor(matrix)
-        x, applies = self._bicgstab(matrix, b)
+        x, applies = self._bicgstab(matrix, b, atol)
         if x is None and not fresh:  # the kept factor went stale: refactor
             self._factor = None  # release it before the new one is built
             self._factor = lu_factor(matrix)
             fresh = True
-            x, applies = self._bicgstab(matrix, b)
+            x, applies = self._bicgstab(matrix, b, atol)
         if x is None:
             raise IterativeBreakdown(
                 f"BiCGStab on a fresh factor missed rtol {self.RTOL:g} "
@@ -271,7 +275,7 @@ def _newton(ops, rhs1, rhs2, b_data, state, cfg, pot, mesh_next,
             delta[layout.order] = context.solve(
                 layout.matrix((M.data, tau * A.data,
                                b_data - jac_f.data / eps, M.data)),
-                -g[layout.order])
+                -g[layout.order], 0.5 * cfg.newton_tol)
             limit = res if damped else ceiling
             for lam in 0.5 ** np.arange(12 if damped else 1):
                 trial = x + lam * delta
