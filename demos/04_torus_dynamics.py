@@ -33,8 +33,7 @@ cfg = SchemeConfig(eps=0.05, tau=4e-4, t_end=0.2, scheme="fully_implicit",
                    newton_max_iter=60)
 result = run_simulation(cfg, mesh, u0, pot, snapshot_every=100)
 
-out = Path("torus_out")
-out.mkdir(exist_ok=True)
+out = Path("torus_out")  # the writers make the directory
 write_diagnostics_csv(result.records, out / "diagnostics.csv")
 for snap_mesh, snap_state in result.snapshots:
     write_vtk(snap_mesh, {"u": snap_state.alpha, "w": snap_state.beta},

@@ -4,8 +4,8 @@
 Runs both time discretisations on three refinement levels with the
 timestep scaling like h^2, compares terminal states against a shared fine
 fully-implicit reference, and prints the order tables.  A three-level run
-keeps this demo at around a minute; the acceptance suite runs the
-four-level version.
+keeps this demo at a few seconds (3.6 s on a 2-vCPU machine); the
+acceptance suite runs the four-level version.
 """
 
 import dataclasses

@@ -8,7 +8,7 @@ Subcommands::
                                          write eoc_u.csv / eoc_w.csv
     escher mesh-info <config>            print mesh statistics and exit
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure.
+Exit codes: 0 success, 2 configuration error, 3 solver or output failure.
 """
 
 import argparse
@@ -64,7 +64,6 @@ def _cmd_run(args):
                             snapshot_every=cfg.snapshot_every)
 
     outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     write_diagnostics_csv(result.records, outdir / "diagnostics.csv")
     for snap_mesh, snap_state in result.snapshots:
         name = f"snapshot_{snap_state.step:06d}.vtk"
@@ -85,7 +84,6 @@ def _cmd_eoc(args):
                        cfg.initial_function(), cfg.subdivisions, args.levels)
 
     outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     write_eoc_csv(result.table_u, outdir / "eoc_u.csv")
     write_eoc_csv(result.table_w, outdir / "eoc_w.csv")
     print(result.table_u)

@@ -1,16 +1,20 @@
 """File emission: legacy VTK snapshots and CSV tables.
 
-VTK files are legacy 2.0 ASCII POLYDATA with triangle polygons and named
-scalar point-data arrays written at 17 significant digits; each block is
-one ``%`` format of ``np.savetxt``'s row format, so the text is savetxt's
-without its per-row loop.  CSV files use full double precision with '.' as
-the decimal separator; diagnostics tables have one column per field of
+Every file goes through one writer, ``_write``: it creates the parent
+directory, writes ASCII, and raises ``IoError`` for any operating-system
+failure.  Its chunks are strings or ``(rows, row_format)`` blocks, each
+block one ``%`` format of ``np.savetxt``'s row format, so the text is
+savetxt's without its per-row loop.  VTK files are legacy 2.0 ASCII
+POLYDATA with triangle polygons and named scalar point-data arrays.
+Floats are written at 17 significant digits with '.' as the decimal
+separator; diagnostics tables have one column per field of
 ``DiagnosticRecord`` and EOC tables are ``h,error,eoc`` with an empty
 order on the first row.
 """
 
 import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 
@@ -19,12 +23,19 @@ from .diagnostics import DiagnosticRecord
 from .errors import IoError
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
-def _write_block(fh, arr, row_fmt):
-    fh.write(((row_fmt + "\n") * len(arr)) % tuple(np.ravel(arr).tolist()))
+def _write(path, *chunks):
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="ascii") as fh:
+            for chunk in chunks:
+                if not isinstance(chunk, str):
+                    rows, row_fmt = chunk
+                    chunk = ((row_fmt + "\n") * len(rows)) % tuple(
+                        np.ravel(rows).tolist())
+                fh.write(chunk)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def write_vtk(mesh, arrays, path):
@@ -38,47 +49,32 @@ def write_vtk(mesh, arrays, path):
         if not re.fullmatch("[!-~]+", str(name)):
             raise IoError(f"VTK array name {name!r} is not printable ASCII "
                           "without whitespace")
-    n = mesh.node_count
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("# vtk DataFile Version 2.0\n"
-                     f"escher surface snapshot t={mesh.current_time!r}\n"
-                     f"ASCII\nDATASET POLYDATA\nPOINTS {n} double\n")
-            _write_block(fh, mesh.nodes, "%.17g %.17g %.17g")
-            nt = mesh.triangle_count
-            fh.write(f"POLYGONS {nt} {4 * nt}\n")
-            _write_block(fh, mesh.triangles, "3 %d %d %d")
-            if arrays:
-                fh.write(f"POINT_DATA {n}\n")
-                for name, values in arrays.items():
-                    fh.write(f"SCALARS {name} double 1\n")
-                    fh.write("LOOKUP_TABLE default\n")
-                    _write_block(fh, values, "%.17g")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    n, nt = mesh.node_count, mesh.triangle_count
+    chunks = ["# vtk DataFile Version 2.0\n"
+              f"escher surface snapshot t={mesh.current_time!r}\n"
+              f"ASCII\nDATASET POLYDATA\nPOINTS {n} double\n",
+              (mesh.nodes, "%.17g %.17g %.17g"),
+              f"POLYGONS {nt} {4 * nt}\n", (mesh.triangles, "3 %d %d %d")]
+    if arrays:
+        chunks.append(f"POINT_DATA {n}\n")
+    for name, values in arrays.items():
+        chunks += [f"SCALARS {name} double 1\nLOOKUP_TABLE default\n",
+                   (values, "%.17g")]
+    _write(path, *chunks)
 
 
 def write_diagnostics_csv(records, path):
     """Diagnostic trajectory as CSV, one row per recorded step."""
-    columns = [(c.name, _fmt if c.type is float else str)
-               for c in fields(DiagnosticRecord)]
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(",".join(name for name, _ in columns) + "\n")
-            for r in records:
-                fh.write(",".join(fmt(getattr(r, name))
-                                  for name, fmt in columns) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    columns = fields(DiagnosticRecord)
+    rows = np.array([[getattr(r, c.name) for c in columns] for r in records],
+                    dtype=object)  # integer columns stay Python ints
+    _write(path, ",".join(c.name for c in columns) + "\n",
+           (rows, ",".join("%.17g" if c.type is float else "%d"
+                           for c in columns)))
 
 
 def write_eoc_csv(table, path):
     """EOC table as CSV with columns h,error,eoc."""
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("h,error,eoc\n")
-            for h, e, order in table.rows():
-                order_s = "" if order is None else _fmt(order)
-                fh.write(f"{_fmt(h)},{_fmt(e)},{order_s}\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    rows = table.rows()
+    _write(path, "h,error,eoc\n", ([row[:2] for row in rows[:1]], "%.17g,%.17g,"),
+           (rows[1:], "%.17g,%.17g,%.17g"))

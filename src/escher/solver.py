@@ -32,10 +32,11 @@ Each step has one solution below the scheme's uniqueness bound
 implicit scheme, no bound for the implicit-explicit one.  A timestep at or
 above it triggers a warning, not an error, since the scheme may still
 converge to one of the admissible solutions.  Newton tries one ladder of
-starts (``_ladder``): below the bound the extrapolant of the last three
-time levels (two on the second step), the previous time level, and for the
-fully implicit scheme an IMEX warm start, then two half-steps.  A start
-fails on NewtonDivergence or IterativeBreakdown; SingularMatrix ends the step.
+starts (``_ladder``): the given guess (below the bound, the extrapolant of
+the last three time levels, two on the second step), the previous time
+level, then the rescues, for the fully implicit scheme an IMEX warm start
+and two half-steps.  A start fails on NewtonDivergence or
+IterativeBreakdown; SingularMatrix ends the step.
 
 ``SchemeConfig.validate`` checks every setting the schemes read, the
 timestep dividing the final time included; ``config.RunConfig`` extends it.
@@ -101,7 +102,10 @@ class SchemeConfig:
         """Number of steps; the timestep must divide the final time."""
         if self.t_end == 0.0:
             return 0
-        n = int(round(self.t_end / self.tau))
+        ratio = self.t_end / self.tau
+        if not np.isfinite(ratio):
+            raise ValidationError("tau", f"t_end / {self.tau!r} overflows")
+        n = int(round(ratio))
         if n < 1 or abs(n * self.tau - self.t_end) > 1e-8 * self.t_end:
             raise ValidationError("tau", f"{self.tau!r} does not divide "
                                          f"the final time {self.t_end!r}")
@@ -222,8 +226,9 @@ class LinearContext:
 
 
 def _newton(ops, rhs1, rhs2, b_data, state, cfg, pot, mesh_next,
-            initial_guess=None, context=None):
-    """Solve the block system by Newton; returns the state at the new time.
+            initial_guess, context):
+    """Solve the block system by Newton from ``initial_guess`` with the
+    solves of ``context``; returns the state at the new time.
 
     ``b_data`` holds the (2,1) block B of the linear part on the pattern of
     M and A; on the iterate ``x = [a; b]`` the residual is
@@ -248,10 +253,6 @@ def _newton(ops, rhs1, rhs2, b_data, state, cfg, pot, mesh_next,
     tau, eps = cfg.tau, cfg.eps
     layout = block_layout(mesh_next)
     b_matrix = sp.csr_matrix((b_data, M.indices, M.indptr), shape=M.shape)
-    if context is None:
-        context = LinearContext()
-    if initial_guess is None:
-        initial_guess = (state.alpha, state.beta)
     guess = np.concatenate(initial_guess, dtype=float)
 
     def residual(x):
@@ -309,15 +310,16 @@ def _extrapolate(levels):
                  for name in ("alpha", "beta"))
 
 
-def _ladder(args, context, starts):
-    """Newton from each start in turn: a callable returning the initial
-    guess, or None for the previous state.  A start fails when its guess or
-    Newton from it raises NewtonDivergence or IterativeBreakdown; the last
-    failure is raised when none is left.  Any other error ends the step."""
-    for start in starts:
+def _ladder(args, context, initial_guess, rescues=()):
+    """Newton from ``initial_guess`` if given, the previous state, then each
+    rescue (a callable returning the guess) in turn.  A start fails when its
+    guess or Newton from it raises NewtonDivergence or IterativeBreakdown;
+    the last failure is raised when none is left, any other ends the step."""
+    state = args[4]  # _newton's previous state
+    given = [] if initial_guess is None else [lambda: initial_guess]
+    for start in given + [lambda: (state.alpha, state.beta), *rescues]:
         try:
-            guess = None if start is None else start()
-            return _newton(*args, initial_guess=guess, context=context)
+            return _newton(*args, start(), context)
         except (NewtonDivergence, IterativeBreakdown) as exc:
             failure = exc
     raise failure
@@ -332,11 +334,11 @@ def step_fully_implicit(mesh_prev, mesh_next, state, cfg, pot,
     has one solution), the previous time level, the implicit-explicit
     solution of the same step (solvable at every tau), then, below 8
     halvings, the endpoint of two recursive half-steps (continuation in
-    tau).  A start fails on NewtonDivergence or IterativeBreakdown, and the
-    last failure is raised when none is left; SingularMatrix stops the step
-    at once.  Every start solves the full-tau fully implicit system.
+    tau).  Every start solves the full-tau system with one ``context``,
+    made for the step when none is given; starts fail as in ``_ladder``.
     """
     _check_state(mesh_prev, state)
+    context = context or LinearContext()
     ops_prev = assemble_operators(mesh_prev)
     ops = assemble_operators(mesh_next)
     rhs1 = ops_prev.M @ state.alpha
@@ -355,10 +357,9 @@ def step_fully_implicit(mesh_prev, mesh_next, state, cfg, pot,
                                      context=context, _depth=_depth + 1)
         return second.alpha, second.beta
 
-    given = [None] if initial_guess is None else [lambda: initial_guess, None]
     rescues = [imex_step, half_steps] if _depth < 8 else [imex_step]
     return _ladder((ops, rhs1, np.zeros_like(rhs1), b_data, state, cfg, pot,
-                    mesh_next), context, given + rescues)
+                    mesh_next), context, initial_guess, rescues)
 
 
 def step_imex(mesh_prev, mesh_next, state, cfg, pot, initial_guess=None,
@@ -374,9 +375,8 @@ def step_imex(mesh_prev, mesh_next, state, cfg, pot, initial_guess=None,
     m_alpha = ops_prev.M @ state.alpha
     rhs2 = (-pot.theta / cfg.eps) * m_alpha
     b_data = (-cfg.eps) * ops.A.data
-    given = [None] if initial_guess is None else [lambda: initial_guess, None]
     return _ladder((ops, m_alpha, rhs2, b_data, state, cfg, pot, mesh_next),
-                   context, given)
+                   context or LinearContext(), initial_guess)
 
 
 _STEPPERS = {FULLY_IMPLICIT: step_fully_implicit, IMEX: step_imex}
@@ -469,7 +469,7 @@ def run_simulation(cfg, mesh, alpha0, pot, *, snapshot_every=0):
 
     for n in range(1, n_steps + 1):
         mesh_next = advance_mesh(mesh, t0 + n * cfg.tau)
-        # with one level the extrapolant is the previous state, the default
+        # none on step 1: its extrapolant is the previous state, tried next
         guess = _extrapolate(levels) if unique and len(levels) > 1 else None
         try:
             state = stepper(mesh, mesh_next, state, cfg, pot,

@@ -105,9 +105,9 @@ class StaticSphere(_SphereBase):
     kind = "static_sphere"
 
     def __init__(self, radius=1.0):
-        if radius <= 0.0:
-            raise ValueError("radius must be positive")
         self.radius = float(radius)
+        if self.radius <= 0.0 or not np.isfinite(self.radius * self.radius):
+            raise ValueError("radius must be positive with a finite square")
 
     def _radius_sq(self, t):
         return self.radius**2

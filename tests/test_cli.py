@@ -263,3 +263,50 @@ def test_imex_eoc_runs_no_fully_implicit_solve(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["eoc", str(cfg), "--levels", "2"]) == 0
+
+
+@pytest.mark.parametrize("command", ["run", "eoc"])
+def test_output_dir_is_a_file_exit_code(tmp_path, capsys, command):
+    # an output failure is typed: one line, no traceback, the file kept
+    text = SMOKE_RUN if command == "run" else EOC_SMOKE
+    cfg, out = write_config(tmp_path, text)
+    out.write_text("kept\n")
+    levels = ["--levels", "2"] if command == "eoc" else []
+    assert main([command, str(cfg), *levels]) == 3
+    err = capsys.readouterr().err
+    assert "cannot write" in err and len(err.splitlines()) == 1
+    assert out.read_text() == "kept\n"
+
+
+def test_run_makes_nested_output_dir(tmp_path):
+    cfg, out = write_config(tmp_path, SMOKE_RUN.replace(
+        "output.dir = {out}", "output.dir = {out}/a/b"))
+    assert main(["run", str(cfg)]) == 0
+    assert (out / "a" / "b" / "diagnostics.csv").is_file()
+
+
+@pytest.mark.parametrize("command", ["run", "mesh-info"])
+def test_step_count_overflow_exit_code(tmp_path, capsys, command):
+    # T / tau = 1e310 overflows to inf, which no step count rounds from
+    text = SMOKE_RUN.replace("tau = 1e-3", "tau = 1e-300")
+    cfg, out = write_config(tmp_path, text.replace("T = 1e-2", "T = 1e10"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "tau" in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("radius", [1e160, 1e200])
+@pytest.mark.parametrize("command", ["run", "mesh-info"])
+def test_sphere_radius_square_overflow_exit_code(tmp_path, capsys, command,
+                                                 radius):
+    # radius**2 is beyond float64: a configuration fault, not OverflowError
+    cfg, out = write_config(tmp_path, SMOKE_RUN, **{"surface.radius": radius})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "surface" in err and len(err.splitlines()) == 1
+    assert not out.exists()

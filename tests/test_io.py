@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays as np_arrays
 
-from escher.diagnostics import DiagnosticRecord, eoc
+from escher.diagnostics import DiagnosticRecord, EocTable, eoc
 from escher.errors import IoError, LengthMismatch
 from escher.io import write_diagnostics_csv, write_eoc_csv, write_vtk
 from escher.meshing import SurfaceMesh, build_icosphere
@@ -149,3 +149,74 @@ def test_eoc_csv(tmp_path):
     assert len(lines) == 4
     assert lines[1].endswith(",")          # first row has no order
     assert lines[2].split(",")[2] == "2"
+
+
+@pytest.mark.parametrize("name", ["ü", "two words"])
+def test_vtk_array_name_rejected_before_any_directory(mesh, tmp_path, name):
+    parent = tmp_path / "new" / "dir"
+    with pytest.raises(IoError):
+        write_vtk(mesh, {name: np.zeros(12)}, parent / "bad.vtk")
+    assert not (tmp_path / "new").exists()
+
+
+RECORDS = [DiagnosticRecord(step=i, time=0.1 * i, energy=1.0 / (i + 1),
+                            mass=0.5, area=4.0, h=0.3, newton_iters=i)
+           for i in range(3)]
+
+# every writer, called on a path: (mesh, path) -> None
+WRITERS = {
+    "vtk": lambda mesh, path: write_vtk(mesh, {"u": np.zeros(12)}, path),
+    "diagnostics": lambda mesh, path: write_diagnostics_csv(RECORDS, path),
+    "eoc": lambda mesh, path: write_eoc_csv(
+        eoc([4.0, 1.0, 0.25], [1.0, 0.5, 0.25]), path),
+}
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_writer_parent_is_a_file(mesh, tmp_path, writer):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    with pytest.raises(IoError, match="cannot write"):
+        WRITERS[writer](mesh, blocker / "out")
+    with pytest.raises(IoError, match="cannot write"):
+        WRITERS[writer](mesh, blocker / "nested" / "out")
+    assert blocker.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_writer_makes_missing_parents(mesh, tmp_path, writer):
+    flat, nested = tmp_path / "out", tmp_path / "a" / "b" / "c" / "out"
+    WRITERS[writer](mesh, flat)
+    WRITERS[writer](mesh, nested)
+    assert nested.read_bytes() == flat.read_bytes() != b""
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2**70), FLOATS, FLOATS, FLOATS,
+                          FLOATS, FLOATS, st.integers(0, 2**70)),
+                max_size=5))
+def test_diagnostics_csv_text(tmp_path_factory, rows):
+    # floats print as format(x, ".17g"), integers as str, exactly
+    path = tmp_path_factory.mktemp("csv") / "diag.csv"
+    write_diagnostics_csv([DiagnosticRecord(*row) for row in rows], path)
+    expected = "".join(
+        ",".join(format(x, ".17g") if isinstance(x, float) else str(x)
+                 for x in row) + "\n" for row in rows)
+    assert path.read_text(encoding="ascii") == (
+        "step,time,energy,mass,area,h,newton_iters\n" + expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(FLOATS, FLOATS, FLOATS), min_size=1, max_size=5))
+def test_eoc_csv_text(tmp_path_factory, rows):
+    # h,error,eoc at 17 digits, the first row's order empty
+    table = EocTable(hs=tuple(r[0] for r in rows),
+                     errors=tuple(r[1] for r in rows),
+                     eocs=(None, *(r[2] for r in rows[1:])))
+    path = tmp_path_factory.mktemp("csv") / "eoc.csv"
+    write_eoc_csv(table, path)
+    expected = "".join(
+        ",".join(format(x, ".17g") for x in row[:2])
+        + ("," if k == 0 else "," + format(row[2], ".17g")) + "\n"
+        for k, row in enumerate(rows))
+    assert path.read_text(encoding="ascii") == "h,error,eoc\n" + expected

@@ -1,6 +1,7 @@
 """Solver tests: linear solves, the two timestepping schemes, conservation
 and consistency properties, and the smooth-function projection."""
 
+import inspect
 import os
 import warnings
 from dataclasses import replace
@@ -752,6 +753,25 @@ class TestFailingDescent:
         assert 1 <= len(newton) <= 3 * 9
         assert max(j for _, _, j in newton) <= 2 * cfg.newton_max_iter
 
+    def test_every_start_shares_one_context(self, mesh, pot, monkeypatch):
+        # a step called without a context makes one, and its IMEX warm
+        # starts and half-steps solve on it too
+        cfg, state = self.far(mesh)
+        newton, contexts = solver._newton, []
+
+        def newton_spy(*args, **kwargs):
+            bound = inspect.signature(newton).bind(*args, **kwargs)
+            contexts.append(bound.arguments["context"])
+            return newton(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_newton", newton_spy)
+        with pytest.raises(EscherError):
+            step_fully_implicit(mesh, advance_mesh(mesh, cfg.tau), state, cfg,
+                                pot)
+        assert len(contexts) > 3
+        assert isinstance(contexts[0], solver.LinearContext)
+        assert all(context is contexts[0] for context in contexts)
+
 
 class TestExtrapolatedStart:
     """``run_simulation`` starts Newton from 2 x_n - x_(n-1) on step 2 and
@@ -885,6 +905,12 @@ class TestRunSimulation:
         cfg = SchemeConfig(eps=0.05, tau=3e-4, t_end=1e-3)
         with pytest.raises(ValidationError):
             run_simulation(cfg, sphere_mesh, np.zeros(sphere_mesh.node_count), pot)
+
+    def test_step_count_overflow_rejected(self):
+        # t_end / tau = 1 / 5e-324 overflows to inf
+        with pytest.raises(ValidationError) as err:
+            SchemeConfig(eps=0.1, tau=5e-324, t_end=1.0).validate()
+        assert err.value.field == "tau"
 
     def test_uniqueness_warning(self, sphere_mesh, pot):
         cfg = SchemeConfig(eps=0.05, tau=1e-3, t_end=1e-3)  # above 5e-4 bound
