@@ -9,11 +9,9 @@ machinery needed to reproduce the accompanying experiments.
 
 from .assembly import (
     AssembledOperators,
-    assemble_mass,
     assemble_nonlinear_jacobian,
     assemble_nonlinear_load,
     assemble_operators,
-    assemble_stiffness,
     integrate_composed,
 )
 from .config import RunConfig, emit_config, parse_config

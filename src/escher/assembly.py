@@ -173,23 +173,12 @@ def element_geometry(mesh):
     return geo
 
 
-_MASS_LOCAL = (np.ones((3, 3)) + np.eye(3)) / 12.0
-
-
-def assemble_mass(mesh):
-    """Consistent P1 mass matrix: |K|/12 * [[2,1,1],[1,2,1],[1,1,2]] per element."""
-    areas = element_geometry(mesh).areas
-    return _pattern(mesh).assemble(areas[:, None, None] * _MASS_LOCAL)
-
-
-def assemble_stiffness(mesh):
-    """Stiffness of the surface gradient; symmetric PSD with A @ 1 = 0."""
-    return _pattern(mesh).assemble(element_geometry(mesh).stiffness)
-
-
 @dataclass(frozen=True)
 class AssembledOperators:
-    """Mass and stiffness on one mesh at one time."""
+    """Mass and stiffness on one mesh at one time, summed per element K:
+    the consistent P1 mass M_K = |K|/12 * [[2,1,1],[1,2,1],[1,1,2]], and the
+    surface-gradient stiffness A_K = |K| grad phi_i . grad phi_j
+    (``Geometry.stiffness``), symmetric PSD with A @ 1 = 0."""
 
     M: sp.csr_matrix
     A: sp.csr_matrix
@@ -199,7 +188,10 @@ def assemble_operators(mesh):
     """Mass and stiffness for a mesh, cached on the mesh instance."""
     ops = mesh._cache.get("operators")
     if ops is None:
-        ops = AssembledOperators(M=assemble_mass(mesh), A=assemble_stiffness(mesh))
+        geo, pat = element_geometry(mesh), _pattern(mesh)
+        ops = AssembledOperators(
+            M=pat.assemble(geo.areas[:, None, None] * ((1 + np.eye(3)) / 12)),
+            A=pat.assemble(geo.stiffness))
         mesh._cache["operators"] = ops
     return ops
 

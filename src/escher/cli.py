@@ -16,8 +16,9 @@ import sys
 from pathlib import Path
 
 from .config import parse_config
-from .errors import EscherError, ParseError, ValidationError, WrongSurfaceKind
-from .io import write_diagnostics_csv, write_eoc_csv, write_vtk
+from .errors import (EscherError, IoError, ParseError, ValidationError,
+                     WrongSurfaceKind)
+from .io import check_output_dir, write_diagnostics_csv, write_eoc_csv, write_vtk
 from .meshing import mesh_quality, mesh_size_h, surface_area
 from .solver import initial_data_interpolate, run_simulation
 from .studies import eoc_study
@@ -56,6 +57,7 @@ def _load(path):
 
 def _cmd_run(args):
     cfg = _load(args.config)
+    check_output_dir(cfg.output_dir)
     surface = cfg.build_surface()
     mesh = cfg.build_mesh(surface)
     pot = cfg.build_potential()
@@ -79,6 +81,7 @@ def _cmd_run(args):
 
 def _cmd_eoc(args):
     cfg = _load(args.config)
+    check_output_dir(cfg.output_dir)
     pot = cfg.build_potential()
     result = eoc_study(cfg.scheme_config(), cfg.build_surface(), pot,
                        cfg.initial_function(), cfg.subdivisions, args.levels)
@@ -114,7 +117,8 @@ def main(argv=None):
         print(f"escher: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except EscherError as exc:
-        print(f"escher: solver error: {exc}", file=sys.stderr)
+        kind = "output" if isinstance(exc, IoError) else "solver"
+        print(f"escher: {kind} error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
 

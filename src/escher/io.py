@@ -12,6 +12,7 @@ separator; diagnostics tables have one column per field of
 order on the first row.
 """
 
+import os
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -36,6 +37,16 @@ def _write(path, *chunks):
                 fh.write(chunk)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def check_output_dir(path):
+    """Raise IoError unless ``path``, or else its nearest existing ancestor,
+    is a directory, so ``_write`` can make it; creates nothing."""
+    found = os.path.abspath(path)
+    while not os.path.exists(found):  # false on any OSError; "/" exists
+        found = os.path.dirname(found)
+    if not os.path.isdir(found):
+        raise IoError(f"cannot write {path}: {found} is not a directory")
 
 
 def write_vtk(mesh, arrays, path):

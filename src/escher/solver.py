@@ -6,17 +6,16 @@ stiffness matrices on the current mesh, F the nonlinear load of the convex
 part of the well, and matrices from the previous time level on the right,
 one step solves the 2N x 2N block system
 
-    fully implicit:
-        [[M, tau*A], [-eps*A + (theta/eps)*M, M]] (alpha; beta)
-            - (1/eps) (0; F(alpha)) = (M_prev alpha_prev; 0)
+    [[M, tau*A], [-eps*A + (theta_new/eps)*M, M]] (alpha; beta)
+        - (1/eps) (0; F(alpha))
+        = (M_prev alpha_prev; ((theta_new - theta)/eps) M_prev alpha_prev)
 
-    implicit-explicit (convex part implicit, concave part explicit):
-        [[M, tau*A], [-eps*A, M]] (alpha; beta)
-            - (1/eps) (0; F(alpha)) = (M_prev alpha_prev;
-                                       -(theta/eps) M_prev alpha_prev)
-
-by Newton's method with the exact Jacobian.  Every linearisation is solved
-by BiCGStab preconditioned with one single-precision sparse LU factor
+where ``theta_new`` is the part of the concave weight theta held at the new
+time level: theta for the fully implicit scheme, 0 for the implicit-explicit
+one (convex part implicit, concave part explicit: Eyre's convex splitting,
+MRS Proc. 529, 1998).  Both schemes build it in ``_ladder`` and solve it by
+Newton's method with the exact Jacobian.  Every linearisation is solved by
+BiCGStab preconditioned with one single-precision sparse LU factor
 (``lu_factor``, defined here) in the fill-reducing order of
 ``assembly.BlockLayout``, kept across iterations and timesteps and refreshed
 when a solve needs clearly more preconditioner applies than the first one
@@ -130,11 +129,6 @@ class PhaseState:
     step: int = 0
     newton_iters: int = 0
     residual_history: tuple = ()
-
-
-def _check_state(mesh, state):
-    check_length(mesh, state.alpha)
-    check_length(mesh, state.beta)
 
 
 DIAG_PIVOT_THRESH = 1e-3  # least |diagonal| / column max taken as the pivot
@@ -310,16 +304,25 @@ def _extrapolate(levels):
                  for name in ("alpha", "beta"))
 
 
-def _ladder(args, context, initial_guess, rescues=()):
-    """Newton from ``initial_guess`` if given, the previous state, then each
-    rescue (a callable returning the guess) in turn.  A start fails when its
-    guess or Newton from it raises NewtonDivergence or IterativeBreakdown;
-    the last failure is raised when none is left, any other ends the step."""
-    state = args[4]  # _newton's previous state
+def _ladder(mesh_prev, mesh_next, state, cfg, pot, theta_new, context,
+            initial_guess, rescues=()):
+    """Build the step system with ``theta_new`` of theta at the new time
+    level (module docstring), then run Newton from ``initial_guess`` if
+    given, the previous state, then each rescue (a callable returning the
+    guess) in turn.  A start fails when its guess or Newton from it raises
+    NewtonDivergence or IterativeBreakdown; the last failure is raised when
+    none is left, any other ends the step."""
+    check_length(mesh_prev, state.alpha)
+    check_length(mesh_prev, state.beta)
+    m_alpha = assemble_operators(mesh_prev).M @ state.alpha
+    ops = assemble_operators(mesh_next)
+    rhs2 = ((theta_new - pot.theta) / cfg.eps) * m_alpha
+    b_data = (-cfg.eps) * ops.A.data + (theta_new / cfg.eps) * ops.M.data
     given = [] if initial_guess is None else [lambda: initial_guess]
     for start in given + [lambda: (state.alpha, state.beta), *rescues]:
         try:
-            return _newton(*args, start(), context)
+            return _newton(ops, m_alpha, rhs2, b_data, state, cfg, pot,
+                           mesh_next, start(), context)
         except (NewtonDivergence, IterativeBreakdown) as exc:
             failure = exc
     raise failure
@@ -337,12 +340,7 @@ def step_fully_implicit(mesh_prev, mesh_next, state, cfg, pot,
     tau).  Every start solves the full-tau system with one ``context``,
     made for the step when none is given; starts fail as in ``_ladder``.
     """
-    _check_state(mesh_prev, state)
     context = context or LinearContext()
-    ops_prev = assemble_operators(mesh_prev)
-    ops = assemble_operators(mesh_next)
-    rhs1 = ops_prev.M @ state.alpha
-    b_data = (-cfg.eps) * ops.A.data + (pot.theta / cfg.eps) * ops.M.data
 
     def imex_step():
         out = step_imex(mesh_prev, mesh_next, state, cfg, pot, context=context)
@@ -358,24 +356,18 @@ def step_fully_implicit(mesh_prev, mesh_next, state, cfg, pot,
         return second.alpha, second.beta
 
     rescues = [imex_step, half_steps] if _depth < 8 else [imex_step]
-    return _ladder((ops, rhs1, np.zeros_like(rhs1), b_data, state, cfg, pot,
-                    mesh_next), context, initial_guess, rescues)
+    return _ladder(mesh_prev, mesh_next, state, cfg, pot, pot.theta, context,
+                   initial_guess, rescues)
 
 
 def step_imex(mesh_prev, mesh_next, state, cfg, pot, initial_guess=None,
               context=None):
-    """One convex-concave splitting step: convex part implicit, concave
-    quadratic explicit at the previous time level.  Newton starts from
-    ``initial_guess``, if given, then the previous time level (``_ladder``);
-    the implicit part is convex, so every start leads to the one solution
-    and ``run_simulation`` always passes the extrapolant."""
-    _check_state(mesh_prev, state)
-    ops_prev = assemble_operators(mesh_prev)
-    ops = assemble_operators(mesh_next)
-    m_alpha = ops_prev.M @ state.alpha
-    rhs2 = (-pot.theta / cfg.eps) * m_alpha
-    b_data = (-cfg.eps) * ops.A.data
-    return _ladder((ops, m_alpha, rhs2, b_data, state, cfg, pot, mesh_next),
+    """One convex-concave splitting step: the ``_ladder`` system with none
+    of theta at the new time level, so the concave quadratic is explicit.
+    Newton starts from ``initial_guess``, if given, then the previous time
+    level; the implicit part is convex, so every start leads to the one
+    solution and ``run_simulation`` always passes the extrapolant."""
+    return _ladder(mesh_prev, mesh_next, state, cfg, pot, 0.0,
                    context or LinearContext(), initial_guess)
 
 

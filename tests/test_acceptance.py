@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 
 from escher.assembly import (
-    assemble_mass,
     assemble_nonlinear_jacobian,
     assemble_nonlinear_load,
-    assemble_stiffness,
+    assemble_operators,
 )
 from escher.config import sphere_eoc_initial, torus_initial
 from escher.meshing import SurfaceMesh, advance_mesh, build_icosphere, build_torus_mesh
@@ -199,11 +198,11 @@ def test_criterion_6_oracle_equivalence():
     # element matrices against closed forms
     tri_mass = SurfaceMesh(np.array([[0., 0, 0], [1, 0, 0], [0, 2, 0]]),
                            np.array([[0, 1, 2]]), surface=None)
-    mass_err = np.abs(assemble_mass(tri_mass).toarray()
+    mass_err = np.abs(assemble_operators(tri_mass).M.toarray()
                       - (np.ones((3, 3)) + np.eye(3)) / 12.0).max()
     tri_stiff = SurfaceMesh(np.array([[0., 0, 0], [1, 0, 0], [0, 1, 0]]),
                             np.array([[0, 1, 2]]), surface=None)
-    stiff_err = np.abs(assemble_stiffness(tri_stiff).toarray()
+    stiff_err = np.abs(assemble_operators(tri_stiff).A.toarray()
                        - 0.5 * np.array([[2., -1, -1], [-1, 1, 0], [-1, 0, 1]])).max()
 
     # nonlinear load against degree-10 over-integration

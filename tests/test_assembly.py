@@ -11,11 +11,9 @@ from hypothesis import strategies as st
 
 from escher.assembly import (
     _Pattern,
-    assemble_mass,
     assemble_nonlinear_jacobian,
     assemble_nonlinear_load,
     assemble_operators,
-    assemble_stiffness,
     block_layout,
     element_geometry,
     integrate_composed,
@@ -53,34 +51,34 @@ def pot():
 class TestMass:
     def test_unit_area_element_matrix(self):
         mesh = single_triangle([0, 0, 0], [1, 0, 0], [0, 2, 0])  # area 1
-        M = assemble_mass(mesh).toarray()
+        M = assemble_operators(mesh).M.toarray()
         npt.assert_allclose(M, (np.ones((3, 3)) + np.eye(3)) / 12.0, atol=1e-15)
 
     def test_row_sums_are_lumped_areas(self, icosphere):
-        M = assemble_mass(icosphere)
+        M = assemble_operators(icosphere).M
         total = float(M.sum())
         assert total == pytest.approx(surface_area(icosphere), rel=1e-13)
 
     def test_total_mass_close_to_sphere_area(self):
         m = build_icosphere(StaticSphere(), 5)
-        M = assemble_mass(m)
+        M = assemble_operators(m).M
         ones = np.ones(m.node_count)
         assert ones @ (M @ ones) == pytest.approx(4 * np.pi, rel=1e-3)
 
     def test_positive_definite_on_small_mesh(self):
         m = build_icosphere(StaticSphere(), 1)  # 42 nodes
-        eigs = np.linalg.eigvalsh(assemble_mass(m).toarray())
+        eigs = np.linalg.eigvalsh(assemble_operators(m).M.toarray())
         assert eigs.min() > 0
 
     def test_symmetry(self, icosphere):
-        M = assemble_mass(icosphere)
+        M = assemble_operators(icosphere).M
         assert abs(M - M.T).max() == 0.0
 
 
 class TestStiffness:
     def test_unit_right_triangle(self):
         mesh = single_triangle([0, 0, 0], [1, 0, 0], [0, 1, 0])
-        A = assemble_stiffness(mesh).toarray()
+        A = assemble_operators(mesh).A.toarray()
         expected = 0.5 * np.array([[2, -1, -1], [-1, 1, 0], [-1, 0, 1]], dtype=float)
         npt.assert_allclose(A, expected, atol=1e-15)
 
@@ -91,23 +89,23 @@ class TestStiffness:
         base = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
         rotated = single_triangle(*(base @ q.T))
         flat = single_triangle(*base)
-        npt.assert_allclose(assemble_stiffness(rotated).toarray(),
-                            assemble_stiffness(flat).toarray(), atol=1e-14)
+        npt.assert_allclose(assemble_operators(rotated).A.toarray(),
+                            assemble_operators(flat).A.toarray(), atol=1e-14)
 
     def test_constants_in_kernel(self, icosphere):
-        A = assemble_stiffness(icosphere)
+        A = assemble_operators(icosphere).A
         ones = np.ones(icosphere.node_count)
         assert np.abs(A @ ones).max() <= 1e-12 * abs(A).max()
 
     def test_positive_semidefinite(self, icosphere):
-        A = assemble_stiffness(icosphere)
+        A = assemble_operators(icosphere).A
         rng = np.random.default_rng(3)
         for x in rng.normal(size=(100, icosphere.node_count)):
             assert x @ (A @ x) >= -1e-12
 
     def test_kernel_is_exactly_constants(self):
         m = build_icosphere(StaticSphere(), 1)
-        eigs = np.linalg.eigvalsh(assemble_stiffness(m).toarray())
+        eigs = np.linalg.eigvalsh(assemble_operators(m).A.toarray())
         assert abs(eigs[0]) < 1e-12
         assert eigs[1] > 1e-6
 
@@ -121,7 +119,7 @@ class TestNonlinearLoad:
         c = 1.7
         alpha = np.full(icosphere.node_count, c)
         load = assemble_nonlinear_load(icosphere, alpha, pot)
-        lumped = assemble_mass(icosphere) @ np.ones(icosphere.node_count)
+        lumped = assemble_operators(icosphere).M @ np.ones(icosphere.node_count)
         npt.assert_allclose(load, c**3 * lumped, rtol=1e-13)
 
     def test_over_integration_oracle(self, icosphere, pot):
@@ -139,7 +137,7 @@ class TestNonlinearJacobian:
 
     def test_constant_one_gives_three_mass(self, icosphere, pot):
         J = assemble_nonlinear_jacobian(icosphere, np.ones(icosphere.node_count), pot)
-        M = assemble_mass(icosphere)
+        M = assemble_operators(icosphere).M
         assert abs(J - 3.0 * M).max() <= 1e-13 * abs(M).max()
 
     def test_symmetry(self, icosphere, pot):
@@ -166,17 +164,17 @@ class TestGeometryOnly:
         advanced = advance_mesh(m, 0.03)
         rebuilt = SurfaceMesh(advanced.nodes, advanced.triangles, surface,
                               current_time=0.03)
-        Ma, Mr = assemble_mass(advanced), assemble_mass(rebuilt)
-        Aa, Ar = assemble_stiffness(advanced), assemble_stiffness(rebuilt)
+        Ma, Mr = assemble_operators(advanced).M, assemble_operators(rebuilt).M
+        Aa, Ar = assemble_operators(advanced).A, assemble_operators(rebuilt).A
         assert abs(Ma - Mr).max() == 0.0
         assert abs(Aa - Ar).max() == 0.0
 
     def test_shared_pattern_after_advancement(self):
         m = build_icosphere(OscillatingSphere(), 1)
-        assemble_mass(m)
+        assemble_operators(m)
         m2 = advance_mesh(m, 0.01)
         assert m2._cache["pattern"] is m._cache["pattern"]
-        npt.assert_array_equal(assemble_mass(m2).indices, assemble_mass(m).indices)
+        npt.assert_array_equal(assemble_operators(m2).M.indices, assemble_operators(m).M.indices)
 
     def test_operators_cached(self, icosphere):
         ops1 = assemble_operators(icosphere)
@@ -187,7 +185,7 @@ class TestGeometryOnly:
     def test_degenerate_triangle_rejected(self):
         mesh = single_triangle([0, 0, 0], [1, 0, 0], [2, 0, 0])
         with pytest.raises(DegenerateTriangle):
-            assemble_mass(mesh)
+            assemble_operators(mesh)
 
 
 class TestRigidMotion:

@@ -4,13 +4,16 @@
 metrics, and ``perfbench/pace.py`` replaces ``solver.advance_mesh`` during
 untraced runs.  A name deleted or moved from the patched module would break
 only a traced benchmark run; this test fails first.  It imports the tracer
-without installing it.
+without installing it.  The tracer also reads the ``"operators"`` key of a
+mesh's cache to count operator builds, so that key is checked too.
 """
 
 import importlib.util
 from pathlib import Path
 
-from escher import solver
+from escher import assembly, solver
+from escher.meshing import build_icosphere
+from escher.surfaces import StaticSphere
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -32,3 +35,18 @@ def test_every_patch_target_is_defined_on_its_owner():
 
 def test_pace_hook_exists():
     assert callable(vars(solver)["advance_mesh"])
+
+
+def test_operators_cache_key(monkeypatch):
+    # the tracer counts a build whenever "operators" is missing from the
+    # mesh cache; a renamed key would count every call as a build
+    mesh = build_icosphere(StaticSphere(), 1)
+    assert "operators" not in mesh._cache
+    ops = vars(solver)["assemble_operators"](mesh)
+    assert mesh._cache["operators"] is ops
+
+    def no_assembly(*args):
+        raise AssertionError("assembled again")
+
+    monkeypatch.setattr(assembly._Pattern, "assemble", no_assembly)
+    assert vars(solver)["assemble_operators"](mesh) is ops

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from escher import cli
 from escher.cli import main
 from vtk_reader import read_snapshot
 
@@ -149,6 +150,26 @@ def test_torus_radii_exit_code(tmp_path, capsys, kind, radii):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("settings, message", [
+    ({"mesh.subdivisions": -1}, "mesh.subdivisions: must be >= 0"),
+    ({"newton.max_iter": 0}, "newton.max_iter: must be >= 1"),
+    ({"output.snapshot_every": -1}, "output.snapshot_every: must be >= 0"),
+    ({"initial": "bogus"}, "initial: expected one of"),
+    ({"surface.kind": "oscillating_sphere", "surface.base": 0.1,
+      "surface.amplitude": 0.2}, "surface: radius must stay positive for all t"),
+    ({"surface.base": "abc"}, "bad number 'abc'"),
+    ({"": 3}, "empty key or value"),
+    ({"eps": ""}, "empty key or value"),
+])
+def test_input_rule_exit_code(tmp_path, capsys, settings, message):
+    # each input rule exits 2 with one line naming it, before any output
+    cfg, out = write_config(tmp_path, SMOKE_RUN, **settings)
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_missing_file_exit_code(tmp_path):
     assert main(["run", str(tmp_path / "absent.cfg")]) == 2
 
@@ -265,8 +286,20 @@ def test_imex_eoc_runs_no_fully_implicit_solve(tmp_path):
         assert main(["eoc", str(cfg), "--levels", "2"]) == 0
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """Names of the solve entry points ``cli`` calls, in call order."""
+    calls = []
+    for name in ("run_simulation", "eoc_study"):
+        def spy(*args, _name=name, _solve=getattr(cli, name), **kwargs):
+            calls.append(_name)
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(cli, name, spy)
+    return calls
+
+
 @pytest.mark.parametrize("command", ["run", "eoc"])
-def test_output_dir_is_a_file_exit_code(tmp_path, capsys, command):
+def test_output_dir_is_a_file_exit_code(tmp_path, capsys, command, solves):
     # an output failure is typed: one line, no traceback, the file kept
     text = SMOKE_RUN if command == "run" else EOC_SMOKE
     cfg, out = write_config(tmp_path, text)
@@ -275,7 +308,24 @@ def test_output_dir_is_a_file_exit_code(tmp_path, capsys, command):
     assert main([command, str(cfg), *levels]) == 3
     err = capsys.readouterr().err
     assert "cannot write" in err and len(err.splitlines()) == 1
+    assert err.startswith("escher: output error: ")
     assert out.read_text() == "kept\n"
+    assert solves == []  # found before the first step
+
+
+@pytest.mark.parametrize("command", ["run", "eoc"])
+def test_output_dir_below_a_file_exit_code(tmp_path, capsys, command, solves):
+    text = SMOKE_RUN if command == "run" else EOC_SMOKE
+    cfg, out = write_config(tmp_path, text.replace(
+        "output.dir = {out}", "output.dir = {out}/sub"))
+    out.write_text("kept\n")
+    levels = ["--levels", "2"] if command == "eoc" else []
+    assert main([command, str(cfg), *levels]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("escher: output error: cannot write ")
+    assert len(err.splitlines()) == 1
+    assert out.read_text() == "kept\n"
+    assert solves == []
 
 
 def test_run_makes_nested_output_dir(tmp_path):

@@ -117,6 +117,10 @@ class TestEoc:
         with pytest.raises(ValueError):
             eoc([2.0, 1.0], [0.5, 0.5])
 
+    def test_one_level_rejected(self):
+        with pytest.raises(ValueError):
+            eoc([1.0], [0.1])
+
     def test_table_renders(self):
         text = str(eoc([4.0, 1.0], [1.0, 0.5], norm="L2", variable="u"))
         assert "EOC for u" in text and "2.0" in text

@@ -59,6 +59,10 @@ class TestIcosphere:
         with pytest.raises(WrongSurfaceKind):
             build_icosphere(ConstantAreaTorus(), 1)
 
+    def test_negative_subdivisions(self):
+        with pytest.raises(ValueError):
+            build_icosphere(StaticSphere(), -1)
+
 
 class TestTorusMesh:
     def test_counts(self):
@@ -86,6 +90,10 @@ class TestTorusMesh:
     def test_wrong_kind(self):
         with pytest.raises(WrongSurfaceKind):
             build_torus_mesh(StaticSphere(), 8, 8)
+
+    def test_grid_too_coarse(self):
+        with pytest.raises(ValueError):
+            build_torus_mesh(ConstantAreaTorus(), 2, 16)
 
 
 class TestRefine:
