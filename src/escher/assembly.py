@@ -2,11 +2,11 @@
 
 Assembles the mass matrix M, the (Laplace-Beltrami) stiffness matrix A, the
 nonlinear load vector with entries ``integral F1'(U_h) phi_j``, and its
-Jacobian with entries ``integral F1''(U_h) phi_i phi_j``.  Hat-function
-gradients are taken in each triangle's plane, so A is the standard
-cotangent-equivalent operator with ``A @ 1 = 0``.  Areas, edge lengths and
-element stiffness matrices come from one componentwise geometry pass per
-mesh (``element_geometry``), which the mesh measures in ``meshing`` read too.
+Jacobian with entries ``integral F1''(U_h) phi_i phi_j``.  One pass per
+mesh (``assemble_operators``) yields M, A, the triangle areas and the edge
+lengths, which the mesh measures in ``meshing`` read too.  A is in cotangent
+form: for P1 hats, |K| grad phi_i . grad phi_j = e_i . e_j / (4 |K|), with
+e_i the edge opposite vertex i oriented around K, so ``A @ 1 = 0``.
 
 Everything is vectorised over triangles.  The scatter from element entries
 to CSR storage is precomputed once per connectivity and cached on the mesh,
@@ -17,7 +17,6 @@ bit for bit.  The pattern also carries the fill-reducing layout of the
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -131,20 +130,27 @@ def block_layout(mesh):
     return pat.layout
 
 
-class Geometry(NamedTuple):
-    """Per-triangle quantities of one mesh at one time."""
+@dataclass(frozen=True)
+class AssembledOperators:
+    """Mass, stiffness and element measures of one mesh at one time, from
+    one pass per mesh.  Summed per element K: the consistent P1 mass
+    M_K = |K|/12 * [[2,1,1],[1,2,1],[1,1,2]], and the surface-gradient
+    stiffness in cotangent form, A_K = |K| grad phi_i . grad phi_j =
+    e_i . e_j / (4 |K|), symmetric PSD with A @ 1 = 0."""
 
-    areas: np.ndarray      # (nt,)
-    stiffness: np.ndarray  # (nt, 9): area * grad phi_i . grad phi_j at 3i + j
-    lengths: np.ndarray    # (3, nt): length of the edge opposite vertex i
+    M: sp.csr_matrix
+    A: sp.csr_matrix
+    areas: np.ndarray    # (nt,)
+    lengths: np.ndarray  # (3, nt): length of the edge e_i opposite vertex i
 
 
-def element_geometry(mesh):
-    """The mesh's one geometry pass on (3, nt) coordinate arrays, cached on
-    it; raises DegenerateTriangle.  Norms sum as (x + y) + z and dot products
-    as (x + z) + y, the orders of NumPy's vectorised norm and contraction."""
-    geo = mesh._cache.get("geometry")
-    if geo is None:
+def assemble_operators(mesh):
+    """The mesh's operators from one pass on (3, nt) coordinate arrays,
+    cached on it; raises DegenerateTriangle.  Norms sum as (x + y) + z and
+    dot products as (x + z) + y, the orders of NumPy's vectorised norm and
+    contraction."""
+    ops = mesh._cache.get("operators")
+    if ops is None:
         x, y, z = (c[mesh.triangles.T] for c in mesh.nodes.T)
         prev, succ = [2, 0, 1], [1, 2, 0]  # edge opposite vertex i
         ex, ey, ez = x[prev] - x[succ], y[prev] - y[succ], z[prev] - z[succ]
@@ -157,41 +163,13 @@ def element_geometry(mesh):
         if not areas.min() > DEGENERACY_TOL:  # nan fails too
             raise DegenerateTriangle(f"triangle area {areas.min():.3e} "
                                      f"not above {DEGENERACY_TOL:g}")
-        nx, ny, nz = cx / doubled, cy / doubled, cz / doubled
-        # edge rotated into the plane: grad phi_i = (n x e_i) / doubled
-        gx = (ny * ez - nz * ey) / doubled
-        gy = (nz * ex - nx * ez) / doubled
-        gz = (nx * ey - ny * ex) / doubled
-        stiffness = np.empty((len(areas), 9))
-        for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
-            s = (gx[i] * gx[j] + gz[i] * gz[j]) + gy[i] * gy[j]
-            s *= areas
-            stiffness[:, 3 * i + j] = stiffness[:, 3 * j + i] = s
-        lengths = np.sqrt((ex * ex + ey * ey) + ez * ez)
-        geo = Geometry(areas, stiffness, lengths)
-        mesh._cache["geometry"] = geo
-    return geo
-
-
-@dataclass(frozen=True)
-class AssembledOperators:
-    """Mass and stiffness on one mesh at one time, summed per element K:
-    the consistent P1 mass M_K = |K|/12 * [[2,1,1],[1,2,1],[1,1,2]], and the
-    surface-gradient stiffness A_K = |K| grad phi_i . grad phi_j
-    (``Geometry.stiffness``), symmetric PSD with A @ 1 = 0."""
-
-    M: sp.csr_matrix
-    A: sp.csr_matrix
-
-
-def assemble_operators(mesh):
-    """Mass and stiffness for a mesh, cached on the mesh instance."""
-    ops = mesh._cache.get("operators")
-    if ops is None:
-        geo, pat = element_geometry(mesh), _pattern(mesh)
+        # e_i . e_j as (3, 3, nt); A_K divides it by 4 |K| = 2 * doubled
+        dots = (ex[:, None] * ex + ez[:, None] * ez) + ey[:, None] * ey
+        pat = _pattern(mesh)
         ops = AssembledOperators(
-            M=pat.assemble(geo.areas[:, None, None] * ((1 + np.eye(3)) / 12)),
-            A=pat.assemble(geo.stiffness))
+            M=pat.assemble(areas[:, None, None] * ((1 + np.eye(3)) / 12)),
+            A=pat.assemble((dots / (2.0 * doubled)).transpose(2, 0, 1)),
+            areas=areas, lengths=np.sqrt((ex * ex + ey * ey) + ez * ez))
         mesh._cache["operators"] = ops
     return ops
 
@@ -212,7 +190,7 @@ def _at_quadrature(mesh, alpha, degree):
     """Triangle areas, the degree's rule, and U_h at its points, (nt, nq)."""
     alpha = check_length(mesh, alpha)
     rule = quadrature_rule(degree)
-    return (element_geometry(mesh).areas, rule,
+    return (assemble_operators(mesh).areas, rule,
             alpha[mesh.triangles] @ rule.points.T)
 
 

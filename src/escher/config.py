@@ -126,9 +126,9 @@ def validate_config(cfg):
     if cfg.snapshot_every < 0:
         raise ValidationError("output.snapshot_every", "must be >= 0")
     out = str(cfg.output_dir)
-    # the value must survive emit_config: one line, no comment, no padding
-    if out.splitlines() != [out] or "#" in out or out != out.strip():
-        raise ValidationError("output.dir", "must be one line, no '#' or padding")
+    # it must name a path and survive emit_config: no comment, no padding
+    if not out.isprintable() or not out or "#" in out or out != out.strip():
+        raise ValidationError("output.dir", "must be printable, no '#' or padding")
     try:
         for name, value in cfg.surface_params.items():
             if not math.isfinite(value):

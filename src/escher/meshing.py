@@ -14,7 +14,7 @@ finer meshes.
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import element_geometry
+from .assembly import assemble_operators
 from .errors import (
     BadConnectivity,
     LengthMismatch,
@@ -181,19 +181,19 @@ def advance_mesh(mesh, t1):
 
 def mesh_size_h(mesh):
     """Maximum triangle diameter (longest edge) at the current time."""
-    return float(element_geometry(mesh).lengths.max())
+    return float(assemble_operators(mesh).lengths.max())
 
 
 def surface_area(mesh):
     """Total area of the triangulated surface at the current time."""
-    return float(element_geometry(mesh).areas.sum())
+    return float(assemble_operators(mesh).areas.sum())
 
 
 def mesh_quality(mesh):
     """Quasi-uniformity proxy: min over triangles of inradius / h."""
-    geo = element_geometry(mesh)
-    inradius = geo.areas / (0.5 * geo.lengths.sum(axis=0))
-    return float(inradius.min() / geo.lengths.max())
+    ops = assemble_operators(mesh)
+    inradius = ops.areas / (0.5 * ops.lengths.sum(axis=0))
+    return float(inradius.min() / ops.lengths.max())
 
 
 def validate_mesh(mesh):
@@ -215,7 +215,7 @@ def validate_mesh(mesh):
     residual = np.max(np.abs(mesh.surface.value(mesh.nodes, mesh.current_time)))
     if not residual <= SURFACE_TOL:  # nan fails too
         raise OffSurface(f"nodes off the zero set: max |phi| = {residual:.3e}")
-    element_geometry(mesh)  # raises DegenerateTriangle
+    assemble_operators(mesh)  # raises DegenerateTriangle
 
 
 class MeshHierarchy:

@@ -69,6 +69,7 @@ from .meshing import advance_mesh, mesh_size_h, surface_area
 FULLY_IMPLICIT = "fully_implicit"
 IMEX = "imex"
 SCHEMES = (FULLY_IMPLICIT, IMEX)
+MAX_NEWTON_ITER = 1000  # a run whose newton_tol is below roundoff must end
 
 
 @dataclass(frozen=True)
@@ -93,8 +94,9 @@ class SchemeConfig:
             raise ValidationError("scheme", f"expected one of {SCHEMES}")
         if not np.isfinite(self.newton_tol) or self.newton_tol <= 0.0:
             raise ValidationError("newton_tol", "must be finite and positive")
-        if self.newton_max_iter < 1:
-            raise ValidationError("newton_max_iter", "must be >= 1")
+        if not 1 <= self.newton_max_iter <= MAX_NEWTON_ITER:
+            raise ValidationError("newton_max_iter",
+                                  f"must be >= 1 and <= {MAX_NEWTON_ITER}")
         self.step_count()
 
     def step_count(self):
@@ -112,11 +114,12 @@ class SchemeConfig:
 
     def uniqueness_bound(self, pot):
         """Timestep below which each step has one solution: inf for IMEX or
-        theta = 0, else 4 eps^3 / theta^2 in products, which cannot raise."""
-        theta = pot.theta
-        if self.scheme == IMEX or theta == 0.0:
+        theta^2 = 0 (theta = 0 or so small that its square underflows), else
+        4 eps^3 / theta^2 in products, which cannot raise."""
+        theta2 = pot.theta * pot.theta
+        if self.scheme == IMEX or theta2 == 0.0:
             return np.inf
-        return 4.0 * self.eps * self.eps * self.eps / (theta * theta)
+        return 4.0 * self.eps * self.eps * self.eps / theta2
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from escher.assembly import (
     assemble_nonlinear_load,
     assemble_operators,
     block_layout,
-    element_geometry,
     integrate_composed,
 )
 from escher.errors import DegenerateTriangle
@@ -187,6 +186,18 @@ class TestGeometryOnly:
         with pytest.raises(DegenerateTriangle):
             assemble_operators(mesh)
 
+    def test_measures_and_operators_assemble_once(self, monkeypatch):
+        # a mesh measure builds the operators; the step's assembly reuses them
+        mesh = build_icosphere(StaticSphere(), 1)
+        surface_area(mesh)
+
+        def no_assembly(*args):
+            raise AssertionError("assembled again")
+
+        monkeypatch.setattr(_Pattern, "assemble", no_assembly)
+        ops = assemble_operators(mesh)
+        assert ops.areas.sum() == surface_area(mesh)
+
 
 class TestRigidMotion:
     """Geometry and operators depend on the triangles as point sets only:
@@ -212,12 +223,10 @@ class TestRigidMotion:
         moved = SurfaceMesh(mesh.nodes @ q.T + rng.uniform(-5, 5, 3), tris,
                             surface=None)
 
-        areas = element_geometry(mesh).areas
-        npt.assert_allclose(element_geometry(moved).areas, areas[perm],
-                            rtol=1e-12)
+        ops, ops_moved = assemble_operators(mesh), assemble_operators(moved)
+        npt.assert_allclose(ops_moved.areas, ops.areas[perm], rtol=1e-12)
         for measure in (mesh_size_h, surface_area, mesh_quality):
             assert measure(moved) == pytest.approx(measure(mesh), rel=1e-12)
-        ops, ops_moved = assemble_operators(mesh), assemble_operators(moved)
         for X, Y in ((ops.M, ops_moved.M), (ops.A, ops_moved.A)):
             scale = abs(X).max()
             assert abs(Y - Y.T).max() <= 1e-14 * scale
@@ -227,22 +236,32 @@ class TestRigidMotion:
 
 
 def vector_geometry(nodes, triangles):
-    """Areas, edge lengths and element stiffness from cross products of the
-    (nt, 3, 3) vertex array: an independent oracle for element_geometry."""
+    """Areas, edge lengths and element stiffness e_i . e_j / (4 |K|) from
+    the (nt, 3, 3) vertex array by np.cross, np.roll and np.einsum: an
+    independent oracle for the componentwise pass of assemble_operators."""
+    p = nodes[triangles]
+    cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    areas = 0.5 * np.linalg.norm(cross, axis=1)
+    edges = np.roll(p, 1, axis=1) - np.roll(p, 2, axis=1)
+    local = np.einsum("tid,tjd->tij", edges, edges) / (4 * areas)[:, None, None]
+    return areas, np.linalg.norm(edges, axis=2), local
+
+
+def gradient_stiffness(nodes, triangles):
+    """Element stiffness |K| grad phi_i . grad phi_j from the unit normal n
+    and the in-plane hat gradients grad phi_i = (n x e_i) / (2 |K|)."""
     p = nodes[triangles]
     cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
     doubled = np.linalg.norm(cross, axis=1)
     normals = cross / doubled[:, None]
     edges = np.roll(p, 1, axis=1) - np.roll(p, 2, axis=1)
     grads = np.cross(normals[:, None, :], edges) / doubled[:, None, None]
-    areas = 0.5 * doubled
-    local = np.einsum("tid,tjd->tij", grads, grads)
-    return areas, np.linalg.norm(edges, axis=2), areas[:, None, None] * local
+    return 0.5 * doubled[:, None, None] * np.einsum("tid,tjd->tij", grads, grads)
 
 
 class TestComponentwiseGeometry:
-    """The componentwise geometry pass equals the vector formulas to the bit
-    on rigidly moved meshes, where no coordinate difference is exactly 0."""
+    """The componentwise pass equals the vector formulas to the bit on
+    rigidly moved meshes, where no coordinate difference is exactly 0."""
 
     @settings(max_examples=20, deadline=None)
     @given(kind=st.sampled_from(sorted(TestRigidMotion.MESHES)),
@@ -254,16 +273,21 @@ class TestComponentwiseGeometry:
         q *= np.linalg.det(q)
         moved = SurfaceMesh(mesh.nodes @ q.T + rng.uniform(-5, 5, 3),
                             mesh.triangles, surface=None)
-        geo = element_geometry(moved)
+        ops = assemble_operators(moved)
         areas, lengths, local = vector_geometry(moved.nodes, moved.triangles)
-        npt.assert_array_equal(geo.areas, areas)
-        npt.assert_array_equal(geo.lengths, lengths.T)
-        stiffness = geo.stiffness.reshape(-1, 3, 3)
-        npt.assert_array_equal(stiffness, local)
-        bits = stiffness.view(np.uint64)
-        npt.assert_array_equal(bits, bits.transpose(0, 2, 1))
-        scale = np.abs(stiffness).max(axis=(1, 2))
-        assert np.all(np.abs(stiffness.sum(axis=2)).max(axis=1) <= 1e-14 * scale)
+        npt.assert_array_equal(ops.areas, areas)
+        npt.assert_array_equal(ops.lengths, lengths.T)
+        A = _Pattern(moved.triangles, moved.node_count).assemble(local)
+        npt.assert_array_equal(ops.A.indptr, A.indptr)
+        npt.assert_array_equal(ops.A.indices, A.indices)
+        npt.assert_array_equal(ops.A.data, A.data)
+        assert (ops.A != ops.A.T).nnz == 0  # symmetric to the bit
+        ones = np.ones(moved.node_count)
+        assert np.abs(ops.A @ ones).max() <= 1e-14 * abs(ops.A).max()
+        # the cotangent form against in-plane gradients: roundoff only
+        old = gradient_stiffness(moved.nodes, moved.triangles)
+        scale = np.abs(old).max(axis=(1, 2))[:, None, None]
+        assert np.all(np.abs(local - old) <= 4e-15 * scale)
 
 
 class TestBlockLayout:

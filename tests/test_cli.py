@@ -160,6 +160,8 @@ def test_torus_radii_exit_code(tmp_path, capsys, kind, radii):
     ({"surface.base": "abc"}, "bad number 'abc'"),
     ({"": 3}, "empty key or value"),
     ({"eps": ""}, "empty key or value"),
+    ({"newton.max_iter": 1000000000}, "newton.max_iter: must be >= 1 and <= 1000"),
+    ({"output.dir": "runs\x00x"}, "output.dir: must be printable"),
 ])
 def test_input_rule_exit_code(tmp_path, capsys, settings, message):
     # each input rule exits 2 with one line naming it, before any output
@@ -251,6 +253,17 @@ def test_beyond_float32_exit_code(tmp_path, capsys, setting):
     err = capsys.readouterr().err
     assert "float32" in err and len(err.splitlines()) == 1
     assert not out.exists()
+
+
+def test_theta_square_underflow_runs(tmp_path):
+    # theta^2 underflows to 0: no uniqueness bound, as for theta = 0
+    text = SMOKE_RUN.replace("static_sphere", "oscillating_sphere")
+    text = text.replace("scheme = imex", "scheme = fully_implicit")
+    cfg, out = write_config(tmp_path, text, theta=1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(cfg)]) == 0
+    assert (out / "diagnostics.csv").is_file()
 
 
 def test_imex_theta_beyond_float64_exit_code(tmp_path, capsys):

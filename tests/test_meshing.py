@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from escher.assembly import element_geometry
+from escher.assembly import assemble_operators
 from escher.errors import (
     BadConnectivity,
     DegenerateTriangle,
@@ -208,7 +208,7 @@ class TestValidate:
 
     def test_geometry_rejects_nan_node(self):
         with pytest.raises(DegenerateTriangle, match="nan"):
-            element_geometry(broken_icosphere("nan_node"))
+            assemble_operators(broken_icosphere("nan_node"))
 
 
 class TestHierarchyAndProlongation:

@@ -912,6 +912,14 @@ class TestRunSimulation:
             SchemeConfig(eps=0.1, tau=5e-324, t_end=1.0).validate()
         assert err.value.field == "tau"
 
+    def test_newton_max_iter_bounded(self):
+        # above the bound a run at an unreachable tolerance need never end
+        cfg = SchemeConfig(eps=0.1, tau=1e-3, t_end=1e-3, newton_max_iter=1000)
+        cfg.validate()
+        with pytest.raises(ValidationError) as err:
+            replace(cfg, newton_max_iter=1001).validate()
+        assert err.value.field == "newton_max_iter"
+
     def test_uniqueness_warning(self, sphere_mesh, pot):
         cfg = SchemeConfig(eps=0.05, tau=1e-3, t_end=1e-3)  # above 5e-4 bound
         alpha = initial_data_interpolate(sphere_mesh, sphere_eoc_initial)
@@ -937,8 +945,11 @@ class TestRunSimulation:
         cfg = SchemeConfig(eps=eps, tau=1e-3, t_end=1e-3)
         assert cfg.uniqueness_bound(quartic_potential()) == 4.0 * eps**3
 
-    @pytest.mark.parametrize("eps, theta, expected", [(1e200, 1.0, np.inf),
-                                                      (0.05, 1e300, 0.0)])
+    @pytest.mark.parametrize("eps, theta, expected", [
+        (1e200, 1.0, np.inf), (0.05, 1e300, 0.0),
+        (0.05, 1e-300, np.inf),  # theta^2 underflows to 0
+        (0.05, 1e-160, np.inf),  # theta^2 is subnormal, the quotient overflows
+    ])
     def test_uniqueness_bound_overflows_quietly(self, eps, theta, expected):
         cfg = SchemeConfig(eps=eps, tau=1e-3, t_end=1e-3)
         assert cfg.uniqueness_bound(quartic_potential(theta)) == expected
