@@ -4,16 +4,15 @@ Assembles the mass matrix M, the (Laplace-Beltrami) stiffness matrix A, the
 nonlinear load vector with entries ``integral F1'(U_h) phi_j``, and its
 Jacobian with entries ``integral F1''(U_h) phi_i phi_j``.  One pass per
 mesh (``assemble_operators``) yields M, A, the triangle areas and the edge
-lengths, which the mesh measures in ``meshing`` read too.  A is in cotangent
-form: for P1 hats, |K| grad phi_i . grad phi_j = e_i . e_j / (4 |K|), with
-e_i the edge opposite vertex i oriented around K, so ``A @ 1 = 0``.
+lengths, which the mesh measures in ``meshing`` read too; A is in cotangent
+form (``AssembledOperators``).
 
-Everything is vectorised over triangles.  The scatter from element entries
-to CSR storage is precomputed once per connectivity and cached on the mesh,
-which makes repeated assembly inside Newton iterations cheap; summation
-order is fixed by triangle index, so assembled values are reproducible
-bit for bit.  The pattern also carries the fill-reducing layout of the
-2N x 2N Newton matrix (``BlockLayout``).
+Everything is vectorised over triangles.  Element matrices are symmetric,
+so only their six upper entries (i <= j) are formed; one fixed sparse
+product per connectivity, cached on the mesh, sums them into the CSR data
+of M, A and the Jacobian, each slot in triangle order, so assembled values
+are reproducible bit for bit.  The pattern also carries the fill-reducing
+layout of the 2N x 2N Newton matrix (``BlockLayout``).
 """
 
 from dataclasses import dataclass
@@ -27,33 +26,34 @@ from .quadrature import quadrature_rule
 DEGENERACY_TOL = 1e-14
 NONLINEAR_QUAD_DEGREE = 4  # exact for the quartic well composed with P1
 ND_LEAF_SIZE = 16  # nested dissection leaves parts this small unsplit
+_I, _J = np.triu_indices(3)  # the six local pairs (i, j), i <= j
+_PAIR = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])  # local entry 3i + j -> its pair
 
 
 class _Pattern:
-    """CSR sparsity of vertex-adjacency plus the element-entry scatter map."""
+    """CSR vertex adjacency plus ``pair_map``, local pairs to its slots."""
 
     def __init__(self, triangles, node_count):
         rows = np.repeat(triangles, 3, axis=1).ravel()
         cols = np.tile(triangles, (1, 3)).ravel()
         key = rows * node_count + cols
-        order = np.argsort(key)  # equal keys share one slot: any tie order
+        order = np.argsort(key, kind="stable")  # each slot in triangle order
         key = key[order]
         fresh = np.r_[True, key[1:] != key[:-1]]
-        group = np.cumsum(fresh) - 1
-        self.nnz = int(group[-1]) + 1
         self.rows, self.indices = np.divmod(key[fresh], node_count)
         self.indptr = np.r_[0, np.cumsum(np.bincount(self.rows,
                                                      minlength=node_count))]
-        self.slots = np.empty_like(group)
-        self.slots[order] = group
+        columns = 6 * (order // 9) + _PAIR[order % 9]  # entry 3i + j of triangle t
+        self.pair_map = sp.csr_matrix(
+            (np.ones(len(order)), columns, np.flatnonzero(np.r_[fresh, True])),
+            shape=(len(self.indices), 6 * len(triangles)))
         self.shape = (node_count, node_count)
         self.layout = None  # BlockLayout, built on first use
 
-    def assemble(self, element_values):
-        """Sum element matrices, (nt, 3, 3) or (nt, 9), into a CSR matrix."""
-        data = np.bincount(self.slots, weights=element_values.ravel(),
-                           minlength=self.nnz)
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+    def assemble(self, pairs):
+        """The CSR matrix summing the (nt, 6) local entries (i, j) = _I, _J."""
+        return sp.csr_matrix((self.pair_map @ pairs.ravel(), self.indices,
+                              self.indptr), shape=self.shape)
 
 
 def _nested_dissection(nodes, rows, cols):
@@ -88,12 +88,12 @@ def _nested_dissection(nodes, rows, cols):
 
 
 class BlockLayout:
-    """CSC storage of the Newton matrix ``[[M, tau A], [B - J/eps, M]]`` in
-    an order for sparse LU with little fill and no row interchanges: nodes
-    by nested-dissection rank, each as (beta_i, alpha_i), so every diagonal
-    pivot is a mass entry.  ``order`` lists the unknowns (alpha 0..N-1, beta
-    N..2N-1) in that order; ``gather`` picks the CSC values from the blocks'
-    data on the shared pattern, concatenated as M, tau A, B - J/eps, M."""
+    """The Newton matrix ``[[M, tau A], [B - J/eps, M]]`` as CSC in an order
+    for sparse LU with little fill and no row interchanges: nodes by nested-
+    dissection rank, each as (beta_i, alpha_i), so every pivot is a mass
+    entry.  ``order`` lists the unknowns (alpha 0..N-1, beta N..2N-1) in it;
+    ``matrix`` gathers the blocks' data, built only for a factorisation, as
+    BiCGStab applies the blocks in the natural order (``solver._newton``)."""
 
     def __init__(self, pattern, nodes):
         n, rows, cols = pattern.shape[0], pattern.rows, pattern.indices
@@ -163,12 +163,12 @@ def assemble_operators(mesh):
         if not areas.min() > DEGENERACY_TOL:  # nan fails too
             raise DegenerateTriangle(f"triangle area {areas.min():.3e} "
                                      f"not above {DEGENERACY_TOL:g}")
-        # e_i . e_j as (3, 3, nt); A_K divides it by 4 |K| = 2 * doubled
-        dots = (ex[:, None] * ex + ez[:, None] * ez) + ey[:, None] * ey
+        # e_i . e_j for the six pairs; A_K divides it by 4 |K| = 2 * doubled
+        dots = (ex[_I] * ex[_J] + ez[_I] * ez[_J]) + ey[_I] * ey[_J]
         pat = _pattern(mesh)
         ops = AssembledOperators(
-            M=pat.assemble(areas[:, None, None] * ((1 + np.eye(3)) / 12)),
-            A=pat.assemble((dots / (2.0 * doubled)).transpose(2, 0, 1)),
+            M=pat.assemble(areas[:, None] * ((1 + (_I == _J)) / 12)),
+            A=pat.assemble((dots / (2.0 * doubled)).T),
             areas=areas, lengths=np.sqrt((ex * ex + ey * ey) + ez * ez))
         mesh._cache["operators"] = ops
     return ops
@@ -209,12 +209,11 @@ def assemble_nonlinear_load(mesh, alpha, pot, degree=NONLINEAR_QUAD_DEGREE):
 def assemble_nonlinear_jacobian(mesh, alpha, pot):
     """Jacobian of the nonlinear load: entries ``integral F1''(U_h) phi_i phi_j``."""
     areas, rule, u_q = _at_quadrature(mesh, alpha, NONLINEAR_QUAD_DEGREE)
-    lam = rule.points
     coeff = pot.d2f1(u_q) * rule.weights
-    # sum_q coeff[t,q] * lam[q,i] * lam[q,j] as one matmul over flattened (i,j)
-    pairs = (lam[:, :, None] * lam[:, None, :]).reshape(len(lam), 9)
-    local = (coeff @ pairs).reshape(-1, 3, 3)
-    return _pattern(mesh).assemble(areas[:, None, None] * local)
+    # sum_q coeff[t,q] * lam[q,i] * lam[q,j], lam the rule's points, as one
+    # matmul over the six pairs
+    pairs = rule.points[:, _I] * rule.points[:, _J]
+    return _pattern(mesh).assemble(areas[:, None] * (coeff @ pairs))
 
 
 def integrate_composed(mesh, alpha, func):

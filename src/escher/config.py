@@ -26,6 +26,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ParseError, ValidationError
+from .meshing import MAX_NODES, MAX_SUBDIVISIONS, build_icosphere, build_torus_mesh
 from .potentials import quartic_potential
 from .solver import SchemeConfig
 from .surfaces import make_surface, surface_kinds
@@ -80,8 +81,6 @@ class RunConfig(SchemeConfig):
         return make_surface(self.surface_kind, **self.surface_params)
 
     def build_mesh(self, surface=None):
-        from .meshing import build_icosphere, build_torus_mesh
-
         surface = surface or self.build_surface()
         if surface.family == "sphere":
             return build_icosphere(surface, self.subdivisions)
@@ -114,11 +113,15 @@ def validate_config(cfg):
         raise ValidationError(_KEY_OF[exc.field], exc.reason) from None
     if cfg.initial not in INITIAL_DATA:
         raise ValidationError("initial", f"expected one of {INITIAL_DATA}")
-    if cfg.subdivisions < 0:
-        raise ValidationError("mesh.subdivisions", "must be >= 0")
+    if not 0 <= cfg.subdivisions <= MAX_SUBDIVISIONS:
+        raise ValidationError("mesh.subdivisions",
+                              f"must be >= 0 and <= {MAX_SUBDIVISIONS}")
     for key in ("n_major", "n_minor"):
         if getattr(cfg, key) < 3:
             raise ValidationError(f"mesh.{key}", "torus grid needs >= 3 each way")
+    if cfg.n_major * cfg.n_minor > MAX_NODES:
+        raise ValidationError("mesh.n_major",
+                              f"n_major * n_minor must be <= {MAX_NODES}")
     if not math.isfinite(cfg.theta) or cfg.theta < 0.0:
         raise ValidationError("theta", "must be finite and nonnegative")
     if not math.isfinite(cfg.initial_value):

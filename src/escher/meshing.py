@@ -24,6 +24,8 @@ from .errors import (
 )
 
 SURFACE_TOL = 1e-10  # largest |phi| at a node that validate_mesh accepts
+MAX_NODES = 2**20  # largest mesh a configuration or study may ask for
+MAX_SUBDIVISIONS = 8  # finest icosphere within it: 10 * 4**8 + 2 nodes
 
 # golden-ratio icosahedron, consistently oriented with outward normals
 _ICO_T = (1.0 + np.sqrt(5.0)) / 2.0

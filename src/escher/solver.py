@@ -15,11 +15,11 @@ time level: theta for the fully implicit scheme, 0 for the implicit-explicit
 one (convex part implicit, concave part explicit: Eyre's convex splitting,
 MRS Proc. 529, 1998).  Both schemes build it in ``_ladder`` and solve it by
 Newton's method with the exact Jacobian.  Every linearisation is solved by
-BiCGStab preconditioned with one single-precision sparse LU factor
-(``lu_factor``, defined here) in the fill-reducing order of
-``assembly.BlockLayout``, kept across iterations and timesteps and refreshed
-when a solve needs clearly more preconditioner applies than the first one
-on it did.  BiCGStab also stops at a residual of ``newton_tol / 2``, which
+BiCGStab on four sparse block products in the natural order (``_newton``),
+preconditioned with one kept single-precision sparse LU factor
+(``lu_factor``) of the block matrix, gathered in the fill-reducing order of
+``assembly.BlockLayout`` only when a factor is made (``LinearContext``).
+BiCGStab also stops at a residual of ``newton_tol / 2``, which
 Newton's test cannot see below (Dembo, Eisenstat & Steihaug, SIAM J. Numer.
 Anal. 19, 1982).  The initial chemical potential takes one Jacobi-PCG solve
 with the mass matrix M, D = diag M: kappa(D^-1 M) <= 4 for P1 triangles
@@ -157,20 +157,20 @@ def lu_factor(A):
 class LinearContext:
     """Linear solves for Newton iterations, reusable across timesteps.
 
-    Every system is solved by BiCGStab in double precision to a residual
-    2-norm below ``RTOL`` |b| or the absolute ``floor`` of ``solve``, the
-    larger, preconditioned with a single-precision LU factor from
-    ``lu_factor``; the Krylov iteration on float64 residuals recovers the
-    digits the float32 factor lacks.  b and the floor are scaled exactly by
-    a power of two, so |b|^2 stays finite.  The factor is kept across
-    iterations and timesteps: consecutive Jacobians differ little, so a few
-    iterations suffice.  Work is counted in preconditioner applies (two per
-    BiCGStab iteration, one for a solve that ends at the half-step).  When a
-    solve on a kept factor needs more than ``REFACTOR_MARGIN`` applies
-    beyond the first solve on that factor, the next system is factored
-    afresh.  When BiCGStab fails within ``REUSE_MAX_ITER`` iterations on a
-    kept factor, the system is factored afresh and solved again; on a fresh
-    factor it raises ``IterativeBreakdown``.
+    ``solve`` runs BiCGStab in double precision on ``operator`` to a
+    residual 2-norm below ``RTOL`` |b| or the absolute ``floor``, the
+    larger, with b and the floor scaled exactly by a power of two so |b|^2
+    stays finite.  It is preconditioned, through the permutation ``order``,
+    with a single-precision LU factor (``lu_factor``) of the matrix that
+    ``gather()`` builds, called only when a factor is made; the float64
+    Krylov residuals recover the digits the factor lacks.  The factor is
+    kept across iterations and timesteps.  Work is counted in applies of
+    it (two per BiCGStab iteration, one for a solve that ends at the
+    half-step).  A kept factor is replaced for the next system after a
+    solve that takes over ``REFACTOR_MARGIN`` applies more than the first on
+    it, and at once, with the solve repeated, when BiCGStab fails within
+    ``REUSE_MAX_ITER`` iterations; on a fresh factor that raises
+    ``IterativeBreakdown``.
     """
 
     # inner Krylov tolerance: inexact Newton directions are fine because the
@@ -183,34 +183,34 @@ class LinearContext:
         self._factor = None
         self._fresh_applies = 0  # applies of the first solve on the factor
 
-    def _bicgstab(self, matrix, b, atol=0.0):
+    def _bicgstab(self, operator, order, b, atol=0.0):
         factor = self._factor
         applies = 0
 
         def precondition(v):  # SuperLU wants the factor's own precision
             nonlocal applies
             applies += 1
-            return factor.solve(v.astype(np.float32)).astype(float)
+            out = np.empty_like(v)
+            out[order] = factor.solve(v[order].astype(np.float32))
+            return out
 
         x, info = spla.bicgstab(
-            matrix, b, M=spla.LinearOperator(matrix.shape, precondition,
-                                             dtype=float),
+            operator, b, M=spla.LinearOperator(operator.shape, precondition,
+                                               dtype=float),
             rtol=self.RTOL, atol=atol, maxiter=self.REUSE_MAX_ITER)
         return (x if info == 0 and np.isfinite(x).all() else None), applies
 
-    def solve(self, matrix, b, floor=0.0):
+    def solve(self, operator, gather, order, b, floor=0.0):
         _, exponent = np.frexp(np.abs(b).max())  # exact scaling: |b|^2 is finite
         b = np.ldexp(b, -exponent)
         atol = np.ldexp(floor, -exponent)  # the floor in b's scaling
-        fresh = self._factor is None
-        if fresh:
-            self._factor = lu_factor(matrix)
-        x, applies = self._bicgstab(matrix, b, atol)
-        if x is None and not fresh:  # the kept factor went stale: refactor
-            self._factor = None  # release it before the new one is built
-            self._factor = lu_factor(matrix)
-            fresh = True
-            x, applies = self._bicgstab(matrix, b, atol)
+        for fresh in (self._factor is None, True):  # then the stale refactor
+            if fresh:
+                self._factor = None  # release a stale one before the new one
+                self._factor = lu_factor(gather())
+            x, applies = self._bicgstab(operator, order, b, atol)
+            if x is not None or fresh:
+                break
         if x is None:
             raise IterativeBreakdown(
                 f"BiCGStab on a fresh factor missed rtol {self.RTOL:g} "
@@ -224,8 +224,9 @@ class LinearContext:
 
 def _newton(ops, rhs1, rhs2, b_data, state, cfg, pot, mesh_next,
             initial_guess, context):
-    """Solve the block system by Newton from ``initial_guess`` with the
-    solves of ``context``; returns the state at the new time.
+    """Solve the block system by Newton from ``initial_guess``; returns the
+    state at the new time.  ``context`` solves each linearisation, whose
+    C = B - J/eps replaces B, as four CSR products, gathered only to factor.
 
     ``b_data`` holds the (2,1) block B of the linear part on the pattern of
     M and A; on the iterate ``x = [a; b]`` the residual is
@@ -252,12 +253,14 @@ def _newton(ops, rhs1, rhs2, b_data, state, cfg, pot, mesh_next,
     b_matrix = sp.csr_matrix((b_data, M.indices, M.indptr), shape=M.shape)
     guess = np.concatenate(initial_guess, dtype=float)
 
-    def residual(x):
+    def linear(lower, x):  # [M a + tau A b; lower a + M b] at x = [a; b]
         a, b = x[:n], x[n:]
-        g = np.concatenate([
-            M @ a + tau * (A @ b) - rhs1,
-            (b_matrix @ a + M @ b
-             - assemble_nonlinear_load(mesh_next, a, pot) / eps - rhs2)])
+        return np.concatenate([M @ a + tau * (A @ b), lower @ a + M @ b])
+
+    def residual(x):
+        g = linear(b_matrix, x) - np.concatenate(
+            [rhs1, assemble_nonlinear_load(mesh_next, x[:n], pot) / eps])
+        g[n:] -= rhs2
         return np.abs(g).max(), g
 
     for damped in (False, True):
@@ -268,12 +271,13 @@ def _newton(ops, rhs1, rhs2, b_data, state, cfg, pot, mesh_next,
         for _ in range(cfg.newton_max_iter):
             if res <= cfg.newton_tol:
                 break
-            jac_f = assemble_nonlinear_jacobian(mesh_next, x[:n], pot)
-            delta = np.empty(2 * n)
-            delta[layout.order] = context.solve(
-                layout.matrix((M.data, tau * A.data,
-                               b_data - jac_f.data / eps, M.data)),
-                -g[layout.order], 0.5 * cfg.newton_tol)
+            lower = assemble_nonlinear_jacobian(mesh_next, x[:n], pot)
+            lower.data = b_data - lower.data / eps  # C = B - J/eps
+            delta = context.solve(
+                spla.LinearOperator((2 * n, 2 * n), lambda v: linear(lower, v),
+                                    dtype=float),
+                lambda: layout.matrix((M.data, tau * A.data, lower.data, M.data)),
+                layout.order, -g, 0.5 * cfg.newton_tol)
             limit = res if damped else ceiling
             for lam in 0.5 ** np.arange(12 if damped else 1):
                 trial = x + lam * delta

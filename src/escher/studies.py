@@ -19,7 +19,8 @@ import numpy as np
 
 from .diagnostics import EocTable, eoc, h1_semi_error, l2_error
 from .errors import LevelOutOfRange, ValidationError
-from .meshing import MeshHierarchy, build_icosphere, mesh_size_h, prolong_to
+from .meshing import (MAX_SUBDIVISIONS, MeshHierarchy, build_icosphere,
+                      mesh_size_h, prolong_to)
 from .solver import initial_data_interpolate, run_simulation
 
 
@@ -90,6 +91,9 @@ def eoc_study(cfg, surface, pot, u0, base_subdivisions, levels, *,
         raise ValidationError("levels", "need at least 2")
     if cfg.step_count() == 0:
         raise ValidationError("T", "a study needs at least one step")
+    if base_subdivisions + levels > MAX_SUBDIVISIONS:  # the reference mesh
+        raise ValidationError("levels", "mesh.subdivisions + levels must be "
+                                        f"<= {MAX_SUBDIVISIONS}")
     if reference is None:
         reference = compute_reference(cfg, surface, pot, u0,
                                       base_subdivisions, levels)

@@ -29,6 +29,7 @@ from escher.meshing import (
     surface_area,
 )
 from escher.potentials import quartic_potential
+from escher.quadrature import quadrature_rule
 from escher.surfaces import ConstantAreaTorus, OscillatingSphere, StaticSphere
 
 
@@ -190,13 +191,53 @@ class TestGeometryOnly:
         # a mesh measure builds the operators; the step's assembly reuses them
         mesh = build_icosphere(StaticSphere(), 1)
         surface_area(mesh)
-
-        def no_assembly(*args):
-            raise AssertionError("assembled again")
-
-        monkeypatch.setattr(_Pattern, "assemble", no_assembly)
+        forbid_assembly(monkeypatch, mesh)
         ops = assemble_operators(mesh)
         assert ops.areas.sum() == surface_area(mesh)
+
+
+def forbid_assembly(monkeypatch, mesh):
+    """Make the fixed product of ``mesh``'s pattern raise, so that any M, A
+    or J assembled on its connectivity from here on fails the test."""
+
+    class Forbidden:
+        def __matmul__(self, values):
+            raise AssertionError("assembled again")
+
+    monkeypatch.setattr(mesh._cache["pattern"], "pair_map", Forbidden())
+
+
+def bincount_assemble(triangles, node_count, local):
+    """Oracle for the fixed product: the CSR matrix summing (nt, 3, 3)
+    element matrices by ``np.bincount`` over all nine entries per triangle,
+    each slot in triangle order."""
+    rows = np.repeat(triangles, 3, axis=1).ravel()
+    cols = np.tile(triangles, (1, 3)).ravel()
+    keys, slots = np.unique(rows * node_count + cols, return_inverse=True)
+    r, c = np.divmod(keys, node_count)
+    indptr = np.r_[0, np.cumsum(np.bincount(r, minlength=node_count))]
+    return sp.csr_matrix((np.bincount(slots, weights=local.ravel()), c, indptr),
+                         shape=(node_count, node_count))
+
+
+def local_mass(areas):
+    return areas[:, None, None] * ((1 + np.eye(3)) / 12)
+
+
+def local_jacobian(mesh, alpha, pot, areas):
+    """|K| sum_q w_q F1''(U_h(x_q)) lam_i(x_q) lam_j(x_q) as (nt, 3, 3)."""
+    rule = quadrature_rule(4)
+    lam = rule.points
+    coeff = pot.d2f1(alpha[mesh.triangles] @ lam.T) * rule.weights
+    pairs = (lam[:, :, None] * lam[:, None, :]).reshape(len(lam), 9)
+    return areas[:, None, None] * (coeff @ pairs).reshape(-1, 3, 3)
+
+
+def assert_csr_equal(X, Y):
+    """The same CSR arrays, bit for bit."""
+    npt.assert_array_equal(X.indptr, Y.indptr)
+    npt.assert_array_equal(X.indices, Y.indices)
+    npt.assert_array_equal(X.data, Y.data)
 
 
 class TestRigidMotion:
@@ -227,7 +268,17 @@ class TestRigidMotion:
         npt.assert_allclose(ops_moved.areas, ops.areas[perm], rtol=1e-12)
         for measure in (mesh_size_h, surface_area, mesh_quality):
             assert measure(moved) == pytest.approx(measure(mesh), rel=1e-12)
-        for X, Y in ((ops.M, ops_moved.M), (ops.A, ops_moved.A)):
+        pot = quartic_potential()
+        alpha = rng.uniform(-1.5, 1.5, mesh.node_count)
+        J = assemble_nonlinear_jacobian(mesh, alpha, pot)
+        J_moved = assemble_nonlinear_jacobian(moved, alpha, pot)
+        # the fixed product sums in the permuted triangles' order, to the bit
+        areas, _, local = vector_geometry(moved.nodes, tris)
+        for X, element in ((ops_moved.M, local_mass(areas)),
+                           (ops_moved.A, local),
+                           (J_moved, local_jacobian(moved, alpha, pot, areas))):
+            assert_csr_equal(X, bincount_assemble(tris, mesh.node_count, element))
+        for X, Y in ((ops.M, ops_moved.M), (ops.A, ops_moved.A), (J, J_moved)):
             scale = abs(X).max()
             assert abs(Y - Y.T).max() <= 1e-14 * scale
             assert abs(Y - X).max() <= 1e-12 * scale
@@ -277,10 +328,14 @@ class TestComponentwiseGeometry:
         areas, lengths, local = vector_geometry(moved.nodes, moved.triangles)
         npt.assert_array_equal(ops.areas, areas)
         npt.assert_array_equal(ops.lengths, lengths.T)
-        A = _Pattern(moved.triangles, moved.node_count).assemble(local)
-        npt.assert_array_equal(ops.A.indptr, A.indptr)
-        npt.assert_array_equal(ops.A.indices, A.indices)
-        npt.assert_array_equal(ops.A.data, A.data)
+        pot = quartic_potential()
+        alpha = rng.uniform(-1.5, 1.5, moved.node_count)
+        J = assemble_nonlinear_jacobian(moved, alpha, pot)
+        for X, element in ((ops.M, local_mass(areas)), (ops.A, local),
+                           (J, local_jacobian(moved, alpha, pot, areas))):
+            assert_csr_equal(X, bincount_assemble(moved.triangles,
+                                                  moved.node_count, element))
+        assert (J != J.T).nnz == 0 and (ops.M != ops.M.T).nnz == 0
         assert (ops.A != ops.A.T).nnz == 0  # symmetric to the bit
         ones = np.ones(moved.node_count)
         assert np.abs(ops.A @ ones).max() <= 1e-14 * abs(ops.A).max()
@@ -340,11 +395,21 @@ class TestBlockLayout:
         npt.assert_array_equal(pat.rows,
                                np.repeat(np.arange(n), np.diff(pat.indptr)))
         assert self.increasing_within(pat.indptr, pat.indices)
-        # entry 9t + 3i + j of the element matrices couples the triangle's
-        # vertices i and j
-        t, i, j = np.unravel_index(np.arange(9 * nt), (nt, 3, 3))
-        npt.assert_array_equal(pat.rows[pat.slots], mesh.triangles[t, i])
-        npt.assert_array_equal(pat.indices[pat.slots], mesh.triangles[t, j])
+        # column 6t + p of pair_map is the local pair (i, j) = triu(3)[p] of
+        # triangle t: it reaches the slots of (v_i, v_j) and (v_j, v_i), one
+        # for i = j, with weight 1, and every slot lists its triangles in
+        # ascending order
+        pm = pat.pair_map
+        npt.assert_array_equal(pm.data, 1.0)
+        npt.assert_array_equal(np.bincount(pm.indices, minlength=6 * nt),
+                               np.tile([1, 2, 2, 1, 2, 1], nt))
+        t, p = np.divmod(pm.indices, 6)
+        i, j = np.triu_indices(3)
+        a, b = mesh.triangles[t, i[p]], mesh.triangles[t, j[p]]
+        slot = np.repeat(np.arange(pm.shape[0]), np.diff(pm.indptr))
+        r, c = pat.rows[slot], pat.indices[slot]
+        assert np.all(((r == a) & (c == b)) | ((r == b) & (c == a)))
+        assert self.increasing_within(pm.indptr, pm.indices)
 
     @pytest.mark.parametrize("kind", sorted(MESHES))
     def test_matrix_is_canonical_csc(self, kind):

@@ -11,7 +11,7 @@ mesh's cache to count operator builds, so that key is checked too.
 import importlib.util
 from pathlib import Path
 
-from escher import assembly, solver
+from escher import solver
 from escher.meshing import build_icosphere
 from escher.surfaces import StaticSphere
 
@@ -45,8 +45,9 @@ def test_operators_cache_key(monkeypatch):
     ops = vars(solver)["assemble_operators"](mesh)
     assert mesh._cache["operators"] is ops
 
-    def no_assembly(*args):
-        raise AssertionError("assembled again")
+    class Forbidden:  # the fixed product every M, A and J goes through
+        def __matmul__(self, values):
+            raise AssertionError("assembled again")
 
-    monkeypatch.setattr(assembly._Pattern, "assemble", no_assembly)
+    monkeypatch.setattr(mesh._cache["pattern"], "pair_map", Forbidden())
     assert vars(solver)["assemble_operators"](mesh) is ops

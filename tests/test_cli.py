@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from escher import cli
+from escher import cli, config, meshing, studies
 from escher.cli import main
 from vtk_reader import read_snapshot
 
@@ -372,4 +372,40 @@ def test_sphere_radius_square_overflow_exit_code(tmp_path, capsys, command,
         assert main([command, str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "surface" in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.fixture
+def no_meshes(monkeypatch):
+    """Every mesh builder escher can reach raises: a test that takes this
+    fixture allocates no mesh."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a mesh was built")
+
+    for owner in (meshing, config, studies):
+        for name in ("build_icosphere", "build_torus_mesh", "refine"):
+            if name in vars(owner):
+                monkeypatch.setattr(owner, name, refuse)
+
+
+@pytest.mark.parametrize("command, text, settings, levels, message", [
+    ("run", SMOKE_RUN, {"mesh.subdivisions": 40}, [],
+     "mesh.subdivisions: must be >= 0 and <= 8"),
+    ("mesh-info", SMOKE_RUN, {"mesh.subdivisions": 9}, [],
+     "mesh.subdivisions: must be >= 0 and <= 8"),
+    ("run", TORUS_RUN, {"mesh.n_major": 31623, "mesh.n_minor": 31623}, [],
+     "mesh.n_major: n_major * n_minor must be <= 1048576"),
+    ("eoc", EOC_SMOKE, {}, ["--levels", "60"],
+     "levels: mesh.subdivisions + levels must be <= 8"),
+    ("eoc", EOC_SMOKE, {}, ["--levels", "8"],
+     "levels: mesh.subdivisions + levels must be <= 8"),
+], ids=["subdivisions-40", "mesh-info-9", "torus-1e9-nodes", "eoc-levels-60",
+        "eoc-levels-8"])
+def test_oversize_mesh_exit_code(tmp_path, capsys, no_meshes, command, text,
+                                 settings, levels, message):
+    # a mesh over MAX_NODES is refused by one line before any is built
+    cfg, out = write_config(tmp_path, text, **settings)
+    assert main([command, str(cfg), *levels]) == 2
+    err = capsys.readouterr().err
+    assert err == f"escher: configuration error: {message}\n"
     assert not out.exists()

@@ -17,6 +17,7 @@ from escher.config import (
     validate_config,
 )
 from escher.errors import ParseError, ValidationError
+from escher.meshing import MAX_NODES, MAX_SUBDIVISIONS
 from escher.solver import SCHEMES, SchemeConfig
 
 MINIMAL_SPHERE = """
@@ -271,3 +272,27 @@ def test_default_dataclass_is_valid():
     # a validated configuration cannot be changed behind its checks
     with pytest.raises(FrozenInstanceError):
         cfg.tau = -1.0
+
+
+def test_max_subdivisions_is_the_finest_icosphere_within_max_nodes():
+    # an icosphere of s subdivisions has 10 * 4**s + 2 nodes
+    assert 10 * 4**MAX_SUBDIVISIONS + 2 <= MAX_NODES
+    assert 10 * 4 ** (MAX_SUBDIVISIONS + 1) + 2 > MAX_NODES
+
+
+@pytest.mark.parametrize("text, admitted", [
+    (f"mesh.subdivisions = {MAX_SUBDIVISIONS}", True),
+    (f"mesh.subdivisions = {MAX_SUBDIVISIONS + 1}", False),
+    ("mesh.subdivisions = 1000000000000", False),
+    ("surface.kind = constant_area_torus\nmesh.n_major = 1024\n"
+     "mesh.n_minor = 1024", True),
+    ("surface.kind = constant_area_torus\nmesh.n_major = 1024\n"
+     "mesh.n_minor = 1025", False),
+])
+def test_mesh_size_cap(text, admitted):
+    # checked on the configuration alone: no mesh is built either way
+    if admitted:
+        parse_config(text)
+    else:
+        with pytest.raises(ValidationError, match="^mesh"):
+            parse_config(text)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from escher import solver
 from escher.assembly import (
+    BlockLayout,
     assemble_nonlinear_jacobian,
     assemble_nonlinear_load,
     assemble_operators,
@@ -86,6 +87,13 @@ class CountingFactor:
         return self.factor.solve(v)
 
 
+def solve_in_order(context, matrix, b, floor=0.0):
+    """``context.solve`` on a matrix already in its factor's order: the
+    operator is the matrix itself, gathered as it is, under the identity."""
+    return context.solve(matrix, lambda: matrix, np.arange(matrix.shape[0]),
+                         b, floor)
+
+
 class TestLinearContext:
     """The Newton linear solver: BiCGStab preconditioned with one float32 LU
     factor in the block layout's order, reused until it goes stale."""
@@ -145,19 +153,19 @@ class TestLinearContext:
         b = np.random.default_rng(3).normal(size=2 * sphere_mesh.node_count)
         context = LinearContext()
         first = self.block(sphere_mesh, 1e-4)
-        x = context.solve(first, b)
+        x = solve_in_order(context, first, b)
         assert self.relative_residual(first, x, b) <= LinearContext.RTOL
         nearby = self.block(sphere_mesh, 1.1e-4)
-        x = context.solve(nearby, b)
+        x = solve_in_order(context, nearby, b)
         assert len(factor_calls) == 1
         assert self.relative_residual(nearby, x, b) <= LinearContext.RTOL
 
     def test_far_matrix_is_factored_afresh(self, sphere_mesh, factor_calls):
         b = np.random.default_rng(4).normal(size=2 * sphere_mesh.node_count)
         context = LinearContext()
-        context.solve(self.block(sphere_mesh, 1e-4), b)
+        solve_in_order(context, self.block(sphere_mesh, 1e-4), b)
         far = self.block(sphere_mesh, 1.0, eps=1.0, theta=0.0)
-        x = context.solve(far, b)
+        x = solve_in_order(context, far, b)
         assert len(factor_calls) == 2 and factor_calls[-1] is far
         assert self.relative_residual(far, x, b) <= LinearContext.RTOL
 
@@ -174,8 +182,9 @@ class TestLinearContext:
 
         monkeypatch.setattr(solver, "lu_factor", checking)
         b = np.random.default_rng(4).normal(size=2 * sphere_mesh.node_count)
-        context.solve(self.block(sphere_mesh, 1e-4), b)
-        context.solve(self.block(sphere_mesh, 1.0, eps=1.0, theta=0.0), b)
+        solve_in_order(context, self.block(sphere_mesh, 1e-4), b)
+        solve_in_order(context,
+                       self.block(sphere_mesh, 1.0, eps=1.0, theta=0.0), b)
         assert len(held) == 2
         assert all(factor is None for factor in held)
 
@@ -185,7 +194,7 @@ class TestLinearContext:
         rng = np.random.default_rng(7)
         for _ in range(10):
             b = rng.normal(size=matrix.shape[0])
-            x = context.solve(matrix, b)
+            x = solve_in_order(context, matrix, b)
             assert self.relative_residual(matrix, x, b) <= LinearContext.RTOL
         assert len(factor_calls) == 1
 
@@ -200,7 +209,7 @@ class TestLinearContext:
             matrix = self.block(mesh642, 1e-4 * 1.2**k)
             b = rng.normal(size=matrix.shape[0])
             made, before = len(factors), sum(f.solves for f in factors)
-            x = context.solve(matrix, b)
+            x = solve_in_order(context, matrix, b)
             applies = sum(f.solves for f in factors) - before
             assert self.relative_residual(matrix, x, b) <= LinearContext.RTOL
             assert len(factors) - made == int(stale), k
@@ -224,7 +233,8 @@ class TestLinearContext:
             context = LinearContext()
             context._factor = CountingFactor(lu_factor(factored))
             x, applies = context._bicgstab(
-                system, rng.normal(size=system.shape[0]))
+                system, np.arange(system.shape[0]),
+                rng.normal(size=system.shape[0]))
             assert x is not None
             assert applies == context._factor.solves
             counted.append(applies)
@@ -243,7 +253,7 @@ class TestLinearContext:
         floor = ratio * np.abs(b).max()
         context = LinearContext()
         context._factor = lu_factor(kept)
-        x = context.solve(matrix, b, floor)
+        x = solve_in_order(context, matrix, b, floor)
         assert np.linalg.norm(matrix @ x - b) <= max(
             LinearContext.RTOL * np.linalg.norm(b), floor)
 
@@ -257,8 +267,8 @@ class TestLinearContext:
         for k in (-40, 0, 40):
             context = LinearContext()
             context._factor = kept
-            xs.append(np.ldexp(context.solve(matrix, np.ldexp(b, k),
-                                             np.ldexp(floor, k)), -k))
+            xs.append(np.ldexp(solve_in_order(context, matrix, np.ldexp(b, k),
+                                              np.ldexp(floor, k)), -k))
         npt.assert_array_equal(xs[0], xs[1])
         npt.assert_array_equal(xs[2], xs[1])
 
@@ -270,7 +280,7 @@ class TestLinearContext:
         for floor in (0.0, 1e-2 * np.abs(b).max()):
             context = LinearContext()
             context._factor = counting = CountingFactor(kept)
-            context.solve(matrix, b, floor)
+            solve_in_order(context, matrix, b, floor)
             applies.append(counting.solves)
         assert applies[1] < applies[0]
 
@@ -286,7 +296,7 @@ class TestLinearContext:
         else:
             b = rng.normal(size=b.size)
         floor = np.nextafter(0.5 * np.abs(b).max(), 0.0)
-        x = LinearContext().solve(matrix, b, floor)
+        x = solve_in_order(LinearContext(), matrix, b, floor)
         assert np.abs(x).max() > 0.0
         assert np.linalg.norm(matrix @ x - b) <= floor
 
@@ -297,7 +307,7 @@ class TestLinearContext:
         systems = [(self.block(mesh642, 1e-4 * 1.2**k),
                     rng.normal(size=2 * mesh642.node_count)) for k in range(6)]
         contexts = LinearContext(), LinearContext()
-        plain = [contexts[0].solve(matrix, b) for matrix, b in systems]
+        plain = [solve_in_order(contexts[0], matrix, b) for matrix, b in systems]
         bicgstab = spla.bicgstab
 
         def negligible_atol(A, b, **kwargs):
@@ -305,12 +315,12 @@ class TestLinearContext:
 
         monkeypatch.setattr(spla, "bicgstab", negligible_atol)
         for x, (matrix, b) in zip(plain, systems):
-            npt.assert_array_equal(x, contexts[1].solve(matrix, b))
+            npt.assert_array_equal(x, solve_in_order(contexts[1], matrix, b))
 
     def test_singular_matrix(self):
         A = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(SingularMatrix):
-            LinearContext().solve(A, np.array([1.0, 0.0]))
+            solve_in_order(LinearContext(), A, np.array([1.0, 0.0]))
 
     @pytest.mark.parametrize("big", [1e39, np.inf, np.nan])
     def test_entry_beyond_float32_is_singular(self, big):
@@ -333,7 +343,7 @@ class TestLinearContext:
         # residuals still reaches RTOL without a second factorisation
         matrix = reference_newton_matrix
         b = np.random.default_rng(6).normal(size=matrix.shape[0])
-        x = LinearContext().solve(matrix, b)
+        x = solve_in_order(LinearContext(), matrix, b)
         assert self.relative_residual(matrix, x, b) <= LinearContext.RTOL
         assert len(factor_calls) == 1
         assert lu_factor(matrix).L.dtype == np.float32
@@ -346,8 +356,72 @@ class TestLinearContext:
         monkeypatch.setattr(spla, "bicgstab", failing)
         matrix = self.block(sphere_mesh, 1e-4)
         with pytest.raises(IterativeBreakdown):
-            LinearContext().solve(matrix, np.ones(matrix.shape[0]))
+            solve_in_order(LinearContext(), matrix, np.ones(matrix.shape[0]))
         assert len(factor_calls) == 1
+
+    def test_natural_order_operator_with_permutation(self, mesh642, pot,
+                                                     factor_calls):
+        # as _newton solves: BiCGStab on four CSR products in the natural
+        # order, preconditioned through the layout's permutation by a factor
+        # of the gathered matrix, which is built once
+        eps, tau = 0.05, 1e-4
+        ops = assemble_operators(mesh642)
+        alpha = initial_data_interpolate(mesh642, sphere_eoc_initial)
+        jac = assemble_nonlinear_jacobian(mesh642, alpha, pot)
+        c_data = -eps * ops.A.data + ops.M.data / eps - jac.data / eps
+        C = sp.csr_matrix((c_data, ops.A.indices, ops.A.indptr),
+                          shape=ops.A.shape)
+        natural = sp.bmat([[ops.M, tau * ops.A], [C, ops.M]]).tocsr()
+        n = mesh642.node_count
+        operator = spla.LinearOperator(natural.shape, dtype=float, matvec=(
+            lambda v: np.concatenate([ops.M @ v[:n] + tau * (ops.A @ v[n:]),
+                                      C @ v[:n] + ops.M @ v[n:]])))
+        layout = block_layout(mesh642)
+        gathers = []
+
+        def gather():
+            gathers.append(layout.matrix((ops.M.data, tau * ops.A.data,
+                                          c_data, ops.M.data)))
+            return gathers[-1]
+
+        context = LinearContext()
+        rng = np.random.default_rng(13)
+        for _ in range(3):
+            b = rng.normal(size=2 * n)
+            x = context.solve(operator, gather, layout.order, b)
+            assert self.relative_residual(natural, x, b) <= LinearContext.RTOL
+        assert len(factor_calls) == len(gathers) == 1
+        npt.assert_array_equal(
+            gathers[0].toarray(),
+            natural.toarray()[np.ix_(layout.order, layout.order)])
+
+    def test_run_gathers_only_to_factor(self, sphere_mesh, pot, monkeypatch):
+        # over a fully implicit run that refactors, every Newton matrix is
+        # gathered right before it is factored, and at no other time
+        events = []
+        matrix, solve = BlockLayout.matrix, LinearContext.solve
+
+        def gathering(layout, blocks):
+            events.append("gather")
+            return matrix(layout, blocks)
+
+        def factoring(A):
+            events.append("factor")
+            return lu_factor(A)
+
+        def solving(*args):
+            events.append("solve")
+            return solve(*args)
+
+        monkeypatch.setattr(BlockLayout, "matrix", gathering)
+        monkeypatch.setattr(solver, "lu_factor", factoring)
+        monkeypatch.setattr(LinearContext, "solve", solving)
+        cfg = SchemeConfig(eps=0.1, tau=1e-3, t_end=0.02)
+        alpha = initial_data_interpolate(sphere_mesh, sphere_eoc_initial)
+        run_simulation(cfg, sphere_mesh, alpha, pot)
+        factored = [e for e in events if e != "solve"]
+        assert factored == ["gather", "factor"] * (len(factored) // 2)
+        assert 2 <= events.count("factor") < events.count("solve")
 
 
 POTENTIAL_MESHES = {
