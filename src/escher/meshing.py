@@ -19,11 +19,9 @@ from .errors import (
     BadConnectivity,
     LengthMismatch,
     LevelOutOfRange,
-    OffSurface,
     WrongSurfaceKind,
 )
 
-SURFACE_TOL = 1e-10  # largest |phi| at a node that validate_mesh accepts
 MAX_NODES = 2**20  # largest mesh a configuration or study may ask for
 MAX_SUBDIVISIONS = 8  # finest icosphere within it: 10 * 4**8 + 2 nodes
 
@@ -83,10 +81,8 @@ class SurfaceMesh:
         return self.triangles.shape[0]
 
     def __repr__(self):
-        return (
-            f"SurfaceMesh({self.surface.kind}, nodes={self.node_count}, "
-            f"triangles={self.triangle_count}, t={self.current_time:g})"
-        )
+        return (f"SurfaceMesh({self.surface.kind}, nodes={self.node_count}, "
+                f"triangles={self.triangle_count}, t={self.current_time:g})")
 
 
 def build_icosphere(surface, subdivisions):
@@ -214,9 +210,7 @@ def validate_mesh(mesh):
     if not np.all(counts == 2):
         raise BadConnectivity(
             "surface not closed: edge not shared by exactly 2 triangles")
-    residual = np.max(np.abs(mesh.surface.value(mesh.nodes, mesh.current_time)))
-    if not residual <= SURFACE_TOL:  # nan fails too
-        raise OffSurface(f"nodes off the zero set: max |phi| = {residual:.3e}")
+    mesh.surface.check_on_surface(mesh.nodes, mesh.current_time)
     assemble_operators(mesh)  # raises DegenerateTriangle
 
 

@@ -33,9 +33,8 @@ above it triggers a warning, not an error, since the scheme may still
 converge to one of the admissible solutions.  Newton tries one ladder of
 starts (``_ladder``): the given guess (below the bound, the extrapolant of
 the last three time levels, two on the second step), the previous time
-level, then the rescues, for the fully implicit scheme an IMEX warm start
-and two half-steps.  A start fails on NewtonDivergence or
-IterativeBreakdown; SingularMatrix ends the step.
+level, then for the fully implicit scheme an IMEX warm start and two
+half-steps, at most 11 Newton calls a step (``step_fully_implicit``).
 
 ``SchemeConfig.validate`` checks every setting the schemes read, the
 timestep dividing the final time included; ``config.RunConfig`` extends it.
@@ -131,7 +130,6 @@ class PhaseState:
     time: float = 0.0
     step: int = 0
     newton_iters: int = 0
-    residual_history: tuple = ()
 
 
 DIAG_PIVOT_THRESH = 1e-3  # least |diagonal| / column max taken as the pivot
@@ -266,8 +264,7 @@ def _newton(ops, rhs1, rhs2, b_data, state, cfg, pot, mesh_next,
     for damped in (False, True):
         x = guess
         res, g = residual(x)
-        history = [res]
-        ceiling = 1e6 * (res + 1.0)
+        iters, ceiling = 0, 1e6 * (res + 1.0)
         for _ in range(cfg.newton_max_iter):
             if res <= cfg.newton_tol:
                 break
@@ -288,12 +285,10 @@ def _newton(ops, rhs1, rhs2, b_data, state, cfg, pot, mesh_next,
             else:
                 break  # no acceptable step along the direction
             x, res, g = trial, trial_res, trial_g
-            history.append(res)
+            iters += 1
         if res <= cfg.newton_tol:
             return PhaseState(x[:n], x[n:], time=mesh_next.current_time,
-                              step=state.step + 1,
-                              newton_iters=len(history) - 1,
-                              residual_history=tuple(history))
+                              step=state.step + 1, newton_iters=iters)
     raise NewtonDivergence(
         f"no convergence to {cfg.newton_tol:g} within "
         f"{cfg.newton_max_iter} undamped or damped iterations"
@@ -336,35 +331,35 @@ def _ladder(mesh_prev, mesh_next, state, cfg, pot, theta_new, context,
 
 
 def step_fully_implicit(mesh_prev, mesh_next, state, cfg, pot,
-                        initial_guess=None, context=None, _depth=0):
+                        initial_guess=None, context=None):
     """One backward-Euler step with the whole well treated implicitly.
 
     Newton walks one ladder of starts (``_ladder``): ``initial_guess`` when
     one is given (``run_simulation`` passes the extrapolant where each step
     has one solution), the previous time level, the implicit-explicit
-    solution of the same step (solvable at every tau), then, below 8
-    halvings, the endpoint of two recursive half-steps (continuation in
-    tau).  Every start solves the full-tau system with one ``context``,
-    made for the step when none is given; starts fail as in ``_ladder``.
+    solution of the same step (solvable at every tau), then the endpoint of
+    two half-steps (continuation in tau), each walking this ladder without
+    the half-step rung: at most 1 + 1 + 2 + 2 * 3 + 1 = 11 Newton calls, on
+    one ``context``, made for the step when none is given.
     """
     context = context or LinearContext()
 
-    def imex_step():
-        out = step_imex(mesh_prev, mesh_next, state, cfg, pot, context=context)
-        return out.alpha, out.beta
+    def walk(mesh_prev, mesh_next, state, cfg, guess=None, *rescues):
+        def imex_step():
+            out = step_imex(mesh_prev, mesh_next, state, cfg, pot, context=context)
+            return out.alpha, out.beta
+
+        return _ladder(mesh_prev, mesh_next, state, cfg, pot, pot.theta,
+                       context, guess, [imex_step, *rescues])
 
     def half_steps():
         half = replace(cfg, tau=0.5 * cfg.tau)
         mesh_mid = advance_mesh(mesh_prev, mesh_next.current_time - half.tau)
-        first = step_fully_implicit(mesh_prev, mesh_mid, state, half, pot,
-                                    context=context, _depth=_depth + 1)
-        second = step_fully_implicit(mesh_mid, mesh_next, first, half, pot,
-                                     context=context, _depth=_depth + 1)
+        first = walk(mesh_prev, mesh_mid, state, half)
+        second = walk(mesh_mid, mesh_next, first, half)
         return second.alpha, second.beta
 
-    rescues = [imex_step, half_steps] if _depth < 8 else [imex_step]
-    return _ladder(mesh_prev, mesh_next, state, cfg, pot, pot.theta, context,
-                   initial_guess, rescues)
+    return walk(mesh_prev, mesh_next, state, cfg, initial_guess, half_steps)
 
 
 def step_imex(mesh_prev, mesh_next, state, cfg, pot, initial_guess=None,
@@ -382,11 +377,8 @@ _STEPPERS = {FULLY_IMPLICIT: step_fully_implicit, IMEX: step_imex}
 
 
 def initial_data_interpolate(mesh, u0):
-    """Lagrange interpolant: evaluate u0 at every node.
-
-    ``u0`` is called once on the (N, 3) array of node positions and must
-    return N values.
-    """
+    """Lagrange interpolant: ``u0`` is called once on the (N, 3) array of
+    node positions and must return N values."""
     return check_length(mesh, u0(mesh.nodes))
 
 
@@ -467,10 +459,10 @@ def run_simulation(cfg, mesh, alpha0, pot, *, snapshot_every=0):
     snapshots = [(mesh, state)] if snapshot_every > 0 else []
 
     for n in range(1, n_steps + 1):
-        mesh_next = advance_mesh(mesh, t0 + n * cfg.tau)
         # none on step 1: its extrapolant is the previous state, tried next
         guess = _extrapolate(levels) if unique and len(levels) > 1 else None
         try:
+            mesh_next = advance_mesh(mesh, t0 + n * cfg.tau)
             state = stepper(mesh, mesh_next, state, cfg, pot,
                             initial_guess=guess, context=context)
         except EscherError as exc:  # args hold one message by construction

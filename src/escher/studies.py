@@ -43,6 +43,14 @@ class EocStudyResult:
     taus: tuple
 
 
+def _check_levels(levels, finest, rule):
+    """Both studies' rule: 2 levels or more, and the finest mesh capped."""
+    if levels < 2:
+        raise ValidationError("levels", "need at least 2")
+    if finest > MAX_SUBDIVISIONS:
+        raise ValidationError("levels", f"{rule} must be <= {MAX_SUBDIVISIONS}")
+
+
 def _level_tau(cfg, level):
     # tau proportional to h^2: each refinement halves h, so quarter the step
     return cfg.t_end / (cfg.step_count() * 4**level)
@@ -87,13 +95,10 @@ def eoc_study(cfg, surface, pot, u0, base_subdivisions, levels, *,
     and implicit-explicit variants); without one, the reference runs
     ``cfg``'s scheme.
     """
-    if levels < 2:
-        raise ValidationError("levels", "need at least 2")
+    _check_levels(levels, base_subdivisions + levels,
+                  "mesh.subdivisions + levels")
     if cfg.step_count() == 0:
         raise ValidationError("T", "a study needs at least one step")
-    if base_subdivisions + levels > MAX_SUBDIVISIONS:  # the reference mesh
-        raise ValidationError("levels", "mesh.subdivisions + levels must be "
-                                        f"<= {MAX_SUBDIVISIONS}")
     if reference is None:
         reference = compute_reference(cfg, surface, pot, u0,
                                       base_subdivisions, levels)
@@ -133,6 +138,8 @@ def interpolation_eoc(surface, base_subdivisions, levels, func,
     reference sits; pushing it out shrinks the comparison bias that
     otherwise inflates the last order entry.
     """
+    _check_levels(levels, base_subdivisions + levels - 1 + reference_extra,
+                  "base_subdivisions + levels - 1 + reference_extra")
     base = build_icosphere(surface, base_subdivisions)
     hierarchy = MeshHierarchy.build(base, levels - 1 + reference_extra)
     top = hierarchy.levels[-1]

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import OffSurface
 
-ON_SURFACE_TOL = 1e-8
+ON_SURFACE_TOL = 1e-10  # largest |phi(x, t)| / |x|^2 taken as on the surface
 
 
 class LevelSetSurface:
@@ -42,6 +42,14 @@ class LevelSetSurface:
         """The surface point at time t with the given coordinates."""
         raise NotImplementedError
 
+    def check_on_surface(self, x, t):
+        """Raise OffSurface unless |phi(x, t)| <= ON_SURFACE_TOL |x|^2 at every
+        x: phi is a difference of squared lengths, so the test is scale-free."""
+        res = np.max(np.abs(self.value(x, t)) / np.einsum("...d,...d->...", x, x))
+        if not res <= ON_SURFACE_TOL:  # nan fails too
+            raise OffSurface(f"points off the zero set of {self.kind} at "
+                             f"t={t:g}: max |phi| / |x|^2 = {res:.3e}")
+
     def project(self, x, t):
         """Closest point on the zero set at time t."""
         return self._emit(self._coords(np.asarray(x, dtype=float), t), t)
@@ -49,11 +57,7 @@ class LevelSetSurface:
     def move(self, x0, t0, t1):
         """Exact motion of surface points from time t0 to t1."""
         x0 = np.asarray(x0, dtype=float)
-        res = np.max(np.abs(self.value(x0, t0)))
-        if not res <= ON_SURFACE_TOL:  # nan fails too
-            raise OffSurface(
-                f"point not on {self.kind} at t={t0:g}: |phi| = {res:.3e}"
-            )
+        self.check_on_surface(x0, t0)
         if t0 == t1:
             return x0.copy()
         return self._emit(self._coords(x0, t0), t1)

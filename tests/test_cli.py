@@ -375,6 +375,15 @@ def test_sphere_radius_square_overflow_exit_code(tmp_path, capsys, command,
     assert not out.exists()
 
 
+def test_large_sphere_runs(tmp_path, capsys):
+    # on a sphere of radius 1e4, |phi| at escher's own nodes is about 1e-8:
+    # roundoff of the radius squared, not a node off the surface
+    cfg, out = write_config(tmp_path, SMOKE_RUN, **{
+        "surface.radius": 1e4, "initial": "constant", "initial.value": 0.5})
+    assert main(["run", str(cfg)]) == 0
+    assert (out / "diagnostics.csv").exists()
+
+
 @pytest.fixture
 def no_meshes(monkeypatch):
     """Every mesh builder escher can reach raises: a test that takes this

@@ -201,6 +201,20 @@ class TestValidate:
         with pytest.raises(error, match=match):
             validate_mesh(broken_icosphere(fault))
 
+    @pytest.mark.parametrize("radius", [1.0, 1e3, 1e4])
+    def test_on_surface_check_is_scale_free(self, radius):
+        # |phi| grows with the radius squared, the test of it does not
+        mesh = build_icosphere(StaticSphere(radius), 2)
+        validate_mesh(mesh)
+        validate_mesh(advance_mesh(mesh, 0.5))
+        nodes = mesh.nodes.copy()
+        nodes[7] *= 1.0 + 1e-6  # 1e-6 of the radius off the sphere
+        off = SurfaceMesh(nodes, mesh.triangles, mesh.surface)
+        with pytest.raises(OffSurface, match="off the zero set"):
+            validate_mesh(off)
+        with pytest.raises(OffSurface, match="off the zero set"):
+            advance_mesh(off, 0.5)
+
     @pytest.mark.parametrize("measure", [mesh_size_h, mesh_quality, surface_area])
     def test_measures_reject_degenerate_triangles(self, measure):
         with pytest.raises(DegenerateTriangle):

@@ -3,6 +3,7 @@ and consistency properties, and the smooth-function projection."""
 
 import inspect
 import os
+import time
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -12,7 +13,7 @@ import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from escher import solver
@@ -31,6 +32,7 @@ from escher.errors import (
     IterativeBreakdown,
     LengthMismatch,
     NewtonDivergence,
+    OffSurface,
     SingularMatrix,
     ValidationError,
 )
@@ -502,6 +504,23 @@ def make_state(mesh, alpha, cfg, pot):
     return PhaseState(alpha, beta, time=mesh.current_time, step=0)
 
 
+def step_residual(mesh_prev, mesh_next, prev, state, cfg, pot, theta_new):
+    """Max-norm residual at ``state`` of the step system from ``prev`` with
+    ``theta_new`` of theta at the new time level (solver module docstring),
+    recomputed from M, A and F: theta for the fully implicit scheme, 0 for
+    IMEX."""
+    eps = cfg.eps
+    ops_prev, ops = assemble_operators(mesh_prev), assemble_operators(mesh_next)
+    m_prev = ops_prev.M @ prev.alpha
+    g1 = ops.M @ state.alpha + cfg.tau * (ops.A @ state.beta) - m_prev
+    g2 = (-eps * (ops.A @ state.alpha)
+          + (theta_new / eps) * (ops.M @ state.alpha)
+          + ops.M @ state.beta
+          - assemble_nonlinear_load(mesh_next, state.alpha, pot) / eps
+          - ((theta_new - pot.theta) / eps) * m_prev)
+    return max(np.abs(g1).max(), np.abs(g2).max())
+
+
 class TestSteps:
     def test_mass_conserved_per_step(self, sphere_mesh, pot):
         cfg = SchemeConfig(eps=0.05, tau=1e-4, t_end=1e-3)
@@ -598,13 +617,22 @@ class TestSteps:
         alpha = initial_data_interpolate(sphere_mesh, sphere_eoc_initial)
         state = make_state(sphere_mesh, alpha, cfg, pot)
         mesh_next = advance_mesh(sphere_mesh, cfg.tau)
-        out = step_fully_implicit(sphere_mesh, mesh_next, state, cfg, pot)
-        hist = out.residual_history
-        assert hist[-1] <= cfg.newton_tol
+        hist, solve = [], LinearContext.solve
+
+        def recording(context, operator, gather, order, b, floor=0.0):
+            hist.append(np.abs(b).max())  # b = -G: the iterate's residual
+            return solve(context, operator, gather, order, b, floor)
+
+        with mock.patch.object(LinearContext, "solve", recording):
+            out = step_fully_implicit(sphere_mesh, mesh_next, state, cfg, pot)
+        # one pass, every solve an accepted update, the last one converged
+        assert out.newton_iters == len(hist)
+        assert step_residual(sphere_mesh, mesh_next, state, out, cfg, pot,
+                             pot.theta) <= cfg.newton_tol + 1e-13
         # the last update is inexact by design: its Krylov solve stops at
         # half of newton_tol, so the rate is checked on the last update that
-        # ends above newton_tol
-        k = max(k for k, res in enumerate(hist) if res > cfg.newton_tol)
+        # ends above newton_tol, the one from the last solve's iterate
+        k = len(hist) - 1
         assert k >= 1
         assert hist[k] <= hist[k - 1] ** 1.5
 
@@ -628,6 +656,11 @@ class TestPreviousStateRetry:
     """A given start that fails is retried from the previous state."""
 
     CFG = SchemeConfig(eps=0.1, tau=1e-3, t_end=1e-2)
+
+    @staticmethod
+    def residual(stepper, mesh, mesh_next, state, out, cfg, pot):
+        theta_new = pot.theta if stepper is step_fully_implicit else 0.0
+        return step_residual(mesh, mesh_next, state, out, cfg, pot, theta_new)
 
     @pytest.fixture(scope="class")
     def start(self, pot):
@@ -664,7 +697,8 @@ class TestPreviousStateRetry:
                                             initial_guess=(far, far))
         assert outcomes == [IterativeBreakdown, None]
         assert (out.time, out.step) == (mesh_next.current_time, 1)
-        assert out.residual_history[-1] <= self.CFG.newton_tol
+        assert self.residual(stepper, mesh, mesh_next, state, out, self.CFG,
+                             pot) <= self.CFG.newton_tol + 1e-13
         assert out.newton_iters == 3
 
     @pytest.mark.parametrize("stepper", [step_fully_implicit, step_imex])
@@ -681,7 +715,8 @@ class TestPreviousStateRetry:
                                             cfg, pot, initial_guess=guess)
         assert outcomes == [NewtonDivergence, None]
         assert (out.time, out.step) == (mesh_next.current_time, 1)
-        assert out.residual_history[-1] <= cfg.newton_tol
+        assert self.residual(stepper, mesh, mesh_next, state, out, cfg,
+                             pot) <= cfg.newton_tol + 1e-13
         direct = stepper(mesh, mesh_next, state, cfg, pot)
         assert np.abs(out.alpha - direct.alpha).max() <= 1e-9
         assert np.abs(out.beta - direct.beta).max() <= 1e-9
@@ -690,19 +725,8 @@ class TestPreviousStateRetry:
 class TestRescueLadder:
     """Above the uniqueness bound a fully implicit step that Newton misses
     from the previous state is rescued by an IMEX warm start, and failing
-    that by two recursive half-steps.  On this static sphere at twice the
-    bound each rung rescues a step the other misses."""
-
-    @staticmethod
-    def full_tau_residual(ops_prev, ops, mesh, prev, state, cfg, pot):
-        eps = cfg.eps
-        g1 = ops.M @ state.alpha + cfg.tau * (ops.A @ state.beta) - (
-            ops_prev.M @ prev.alpha)
-        g2 = (-eps * (ops.A @ state.alpha)
-              + (pot.theta / eps) * (ops.M @ state.alpha)
-              + ops.M @ state.beta
-              - assemble_nonlinear_load(mesh, state.alpha, pot) / eps)
-        return max(np.abs(g1).max(), np.abs(g2).max())
+    that by the endpoint of two half-steps.  On this static sphere at twice
+    the bound each rung rescues a step the other misses."""
 
     # the run amplifies roundoff (a relative change of 1e-16 in beta_0 moves
     # the Newton count of step 20), so both rungs must fire under each of
@@ -712,10 +736,9 @@ class TestRescueLadder:
         mesh = build_icosphere(StaticSphere(), 2)
         cfg = SchemeConfig(eps=0.05, tau=1e-3, t_end=0.02)
         assert cfg.tau == pytest.approx(2 * cfg.uniqueness_bound(pot))
-        warm_starts, half_steps = [], []
-        step_imex, step_fully_implicit, chemical_potential = (
-            solver.step_imex, solver.step_fully_implicit,
-            solver.chemical_potential_for)
+        warm_starts, ladder_taus = [], []
+        step_imex, ladder, chemical_potential = (
+            solver.step_imex, solver._ladder, solver.chemical_potential_for)
 
         def perturbed(*args, **kwargs):  # beta_0 (1 + r U(-1, 1))
             beta = chemical_potential(*args, **kwargs)
@@ -726,26 +749,26 @@ class TestRescueLadder:
             warm_starts.append(args[2].step)
             return step_imex(*args, **kwargs)
 
-        def fully_implicit_spy(*args, _depth=0, **kwargs):
-            if _depth > 0:
-                half_steps.append(_depth)
-            return step_fully_implicit(*args, _depth=_depth, **kwargs)
+        def ladder_spy(*args, **kwargs):
+            ladder_taus.append(args[3].tau)  # the walked step's settings
+            return ladder(*args, **kwargs)
 
         monkeypatch.setattr(solver, "step_imex", imex_spy)
-        monkeypatch.setattr(solver, "step_fully_implicit", fully_implicit_spy)
+        monkeypatch.setattr(solver, "_ladder", ladder_spy)
         monkeypatch.setattr(solver, "chemical_potential_for", perturbed)
         alpha = initial_data_interpolate(mesh, sphere_eoc_initial)
         with pytest.warns(RuntimeWarning):
             result = run_simulation(cfg, mesh, alpha, pot, snapshot_every=1)
-        assert len(warm_starts) >= 1 and len(half_steps) >= 1
+        half_steps = ladder_taus.count(cfg.tau / 2)
+        assert len(warm_starts) >= 1 and half_steps >= 1
+        assert min(ladder_taus) == cfg.tau / 2  # no half-step is halved
 
         # every step, rescued or not, solves the full-tau system
         assert len(result.snapshots) == 21
         for (mesh_prev, prev), (mesh_next, state) in zip(
                 result.snapshots[:-1], result.snapshots[1:]):
-            residual = self.full_tau_residual(
-                assemble_operators(mesh_prev), assemble_operators(mesh_next),
-                mesh_next, prev, state, cfg, pot)
+            residual = step_residual(mesh_prev, mesh_next, prev, state, cfg,
+                                     pot, pot.theta)
             assert residual <= cfg.newton_tol + 1e-13
         masses = np.array([r.mass for r in result.records])
         steps = np.arange(len(masses))
@@ -755,10 +778,11 @@ class TestRescueLadder:
 
 class TestFailingDescent:
     """A fully implicit step that no start solves walks the whole ladder and
-    raises a typed error.  When every first half-step fails too, as here,
-    each of the 9 depths of halving makes at most 3 Newton calls (previous
-    state, the one inside the IMEX warm start, Newton from the warm start),
-    each within two passes of ``newton_max_iter`` Jacobians."""
+    raises a typed error within ``WALL_S`` seconds: at most 11 Newton calls
+    (``TestLadderBound``), each within two passes of ``newton_max_iter``
+    Jacobians.  Here every first half-step fails too."""
+
+    WALL_S = 2.0  # each descent below takes 0.01-0.13 s on a 2-core box
 
     @pytest.fixture(scope="class")
     def mesh(self):
@@ -808,9 +832,11 @@ class TestFailingDescent:
         monkeypatch.setattr(solver, "_newton", newton_spy)
         monkeypatch.setattr(solver, "assemble_nonlinear_jacobian", jacobian_spy)
         monkeypatch.setattr(solver, "step_imex", imex_spy)
+        mesh_next = advance_mesh(mesh, cfg.tau)
+        start = time.perf_counter()
         with pytest.raises(EscherError):
-            step_fully_implicit(mesh, advance_mesh(mesh, cfg.tau), state, cfg,
-                                pot)
+            step_fully_implicit(mesh, mesh_next, state, cfg, pot)
+        assert time.perf_counter() - start < TestFailingDescent.WALL_S
         return calls
 
     def test_breakdown_walks_the_ladder(self, mesh, pot, monkeypatch):
@@ -824,7 +850,7 @@ class TestFailingDescent:
         cfg, state = getattr(self, case)(mesh)
         calls = self.failing_step(mesh, cfg, state, pot, monkeypatch)
         newton = [call for call in calls if call[0] == "newton"]
-        assert 1 <= len(newton) <= 3 * 9
+        assert 1 <= len(newton) <= TestLadderBound.BOUND
         assert max(j for _, _, j in newton) <= 2 * cfg.newton_max_iter
 
     def test_every_start_shares_one_context(self, mesh, pot, monkeypatch):
@@ -845,6 +871,89 @@ class TestFailingDescent:
         assert len(contexts) > 3
         assert isinstance(contexts[0], solver.LinearContext)
         assert all(context is contexts[0] for context in contexts)
+
+
+class TestLadderBound:
+    """Whatever its starts do, a fully implicit step makes at most 11 Newton
+    calls: the given guess, the previous state, two for the IMEX warm start
+    (its own Newton, then Newton from it), three per half-step (previous
+    state and warm start, no half-step rung) and one from their endpoint.
+    ``_newton`` is replaced by a stand-in that returns a copy of its start
+    or raises NewtonDivergence, as ``converges`` says."""
+
+    BOUND = 11
+    CFG = SchemeConfig(eps=0.05, tau=1e-3, t_end=1e-2)
+
+    @pytest.fixture(scope="class")
+    def start(self, pot):
+        mesh = build_icosphere(StaticSphere(), 1)  # 42 nodes
+        alpha = initial_data_interpolate(mesh, sphere_eoc_initial)
+        return mesh, make_state(mesh, alpha, self.CFG, pot)
+
+    def walk(self, start, pot, monkeypatch, converges):
+        """Run one step from a given guess; return its state, or the error
+        it raised, and the tau of each ``_newton`` call in order.
+        ``converges(tau, endpoint)`` decides each call, ``endpoint`` telling
+        whether its start is a state the stand-in returned at a smaller tau
+        for the same time level: the endpoint of the half-steps."""
+        mesh, state = start
+        taus, solved = [], []
+
+        def stand_in(ops, rhs1, rhs2, b_data, state, cfg, pot, mesh_next,
+                     initial_guess, context):
+            endpoint = any(initial_guess[0] is out.alpha and tau < cfg.tau
+                           and out.time == mesh_next.current_time
+                           for tau, out in solved)
+            taus.append(cfg.tau)
+            if not converges(cfg.tau, endpoint):
+                raise NewtonDivergence("stand-in")
+            out = PhaseState(initial_guess[0].copy(), initial_guess[1].copy(),
+                             time=mesh_next.current_time, step=state.step + 1)
+            solved.append((cfg.tau, out))
+            return out
+
+        monkeypatch.setattr(solver, "_newton", stand_in)
+        try:
+            out = step_fully_implicit(mesh, advance_mesh(mesh, self.CFG.tau),
+                                      state, self.CFG, pot,
+                                      initial_guess=(state.alpha, state.beta))
+        except EscherError as exc:
+            out = exc
+        return out, taus
+
+    def test_only_half_step_endpoints_converge(self, start, pot, monkeypatch):
+        # Newton converges from any start once tau is 2^-8 of the step's,
+        # above that only from the endpoint of two half-steps: the half-steps
+        # have no endpoint to start from, so the step fails, typed and soon
+        tau = self.CFG.tau
+        out, taus = self.walk(start, pot, monkeypatch,
+                              lambda t, endpoint: endpoint or t <= tau / 256)
+        assert isinstance(out, NewtonDivergence)
+        assert taus == [tau] * 3 + [tau / 2] * 2
+
+    def test_longest_walk(self, start, pot, monkeypatch):
+        # every IMEX solve and every half-step's Newton from its warm start
+        # converges, nothing else but the endpoint: every rung is walked
+        tau = self.CFG.tau
+        outcomes = iter([False, False, True, False,
+                         False, True, True, False, True, True, True])
+        out, taus = self.walk(start, pot, monkeypatch,
+                              lambda t, endpoint: next(outcomes))
+        assert isinstance(out, PhaseState)
+        assert taus == [tau] * 4 + [tau / 2] * 6 + [tau]
+
+    @settings(max_examples=60, deadline=None)
+    @given(outcomes=st.lists(st.booleans(), max_size=16))
+    @example(outcomes=[])
+    def test_bounded_whatever_the_starts_do(self, start, pot, outcomes):
+        # the k-th Newton call converges iff outcomes[k], False past the end
+        draws = iter(outcomes)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            out, taus = self.walk(start, pot, monkeypatch,
+                                  lambda t, endpoint: next(draws, False))
+        assert 1 <= len(taus) <= self.BOUND
+        assert isinstance(out, (PhaseState, NewtonDivergence))
+        assert set(taus) <= {self.CFG.tau, self.CFG.tau / 2}
 
 
 class TestExtrapolatedStart:
@@ -1067,6 +1176,13 @@ class TestRunSimulation:
         alpha = initial_data_interpolate(sphere_mesh, sphere_eoc_initial)
         with pytest.raises(NewtonDivergence) as err:
             run_simulation(cfg, sphere_mesh, alpha, pot)
+        assert str(err.value).startswith("step 1 (t=")
+        # the mesh advance is part of the step: nodes 1e-6 of the radius off
+        # the sphere fail it
+        off = SurfaceMesh(sphere_mesh.nodes * (1.0 + 1e-6),
+                          sphere_mesh.triangles, sphere_mesh.surface)
+        with pytest.raises(OffSurface) as err:
+            run_simulation(replace(cfg, newton_max_iter=25), off, alpha, pot)
         assert str(err.value).startswith("step 1 (t=")
 
 

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from escher import meshing, studies
 from escher.config import sphere_eoc_initial
 from escher.errors import LevelOutOfRange, ValidationError
 from escher.potentials import quartic_potential
@@ -57,6 +58,26 @@ def test_needs_two_levels(tiny_study):
     cfg, surface, pot = tiny_study
     with pytest.raises(ValidationError):
         eoc_study(cfg, surface, pot, sphere_eoc_initial, 1, 1)
+
+
+@pytest.mark.parametrize("levels, reference_extra, message", [
+    (1, 1, "need at least 2"),
+    (60, 1, "must be <= 8"),
+    (4, 5, "must be <= 8"),  # 1 + 4 - 1 + 5 = 9 subdivisions
+])
+def test_interpolation_levels_rule(monkeypatch, levels, reference_extra,
+                                   message):
+    # the rule eoc_study checks, before any mesh is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("a mesh was built")
+
+    for owner in (meshing, studies):
+        for name in ("build_icosphere", "refine"):
+            if name in vars(owner):
+                monkeypatch.setattr(owner, name, refuse)
+    with pytest.raises(ValidationError, match=f"^levels: .*{message}"):
+        interpolation_eoc(StaticSphere(), 1, levels, np.sin,
+                          reference_extra=reference_extra)
 
 
 def test_interpolation_orders_smoke():
