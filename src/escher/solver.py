@@ -13,18 +13,19 @@ one step solves the 2N x 2N block system
 where ``theta_new`` is the part of the concave weight theta held at the new
 time level: theta for the fully implicit scheme, 0 for the implicit-explicit
 one (convex part implicit, concave part explicit: Eyre's convex splitting,
-MRS Proc. 529, 1998).  Both schemes build it in ``_ladder`` and solve it by
-Newton's method with the exact Jacobian.  Every linearisation is solved by
-BiCGStab on four sparse block products in the natural order (``_newton``),
-preconditioned with one kept single-precision sparse LU factor
-(``lu_factor``) of the block matrix, gathered in the fill-reducing order of
-``assembly.BlockLayout`` only when a factor is made (``LinearContext``).
-BiCGStab also stops at a residual of ``newton_tol / 2``, which
-Newton's test cannot see below (Dembo, Eisenstat & Steihaug, SIAM J. Numer.
-Anal. 19, 1982).  The initial chemical potential takes one Jacobi-PCG solve
-with the mass matrix M, D = diag M: kappa(D^-1 M) <= 4 for P1 triangles
-(Wathen, IMA J. Numer. Anal. 7, 1987).  Testing the first block row with
-constants shows ``1^T M alpha`` is conserved by construction.
+MRS Proc. 529, 1998).  Both schemes build it once per ladder of starts in
+``_ladder``, which hands its residual and linearisation to Newton's method
+with the exact Jacobian (``_newton``).  Every linearisation is solved by
+BiCGStab on four sparse block products in the natural order, preconditioned
+with one kept single-precision sparse LU factor (``lu_factor``) of the block
+matrix, gathered in the fill-reducing order of ``assembly.BlockLayout`` only
+when a factor is made (``LinearContext``).  BiCGStab also stops at a
+residual of ``newton_tol / 2``, which Newton's test cannot see below (Dembo,
+Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982).  The initial chemical
+potential takes one Jacobi-PCG solve with the mass matrix M, D = diag M:
+kappa(D^-1 M) <= 4 for P1 triangles (Wathen, IMA J. Numer. Anal. 7, 1987).
+Testing the first block row with constants shows ``1^T M alpha`` is
+conserved by construction.
 
 Each step has one solution below the scheme's uniqueness bound
 (``SchemeConfig.uniqueness_bound``): ``4 eps^3 / theta^2`` for the fully
@@ -220,47 +221,23 @@ class LinearContext:
         return np.ldexp(x, exponent)
 
 
-def _newton(ops, rhs1, rhs2, b_data, state, cfg, pot, mesh_next,
-            initial_guess, context):
-    """Solve the block system by Newton from ``initial_guess``; returns the
-    state at the new time.  ``context`` solves each linearisation, whose
-    C = B - J/eps replaces B, as four CSR products, gathered only to factor.
+def _newton(residual, linearise, guess, cfg, context):
+    """Newton from ``guess`` = (alpha, beta); returns x = [alpha; beta] and
+    its updates.  ``residual(x)`` gives (max |G|, G), ``linearise(x)`` the
+    (operator, gather, order) that ``context.solve`` takes (``_ladder``).
 
-    ``b_data`` holds the (2,1) block B of the linear part on the pattern of
-    M and A; on the iterate ``x = [a; b]`` the residual is
-
-        G1 = M a + tau A b - rhs1
-        G2 = B a + M b - (1/eps) F(a) - rhs2
-
-    One loop runs two passes from the initial guess, each a line search
-    along the Newton direction.  The undamped pass tries only the full step
-    and accepts it while the residual stays finite and below
-    ``1e6 (res0 + 1)``: near the solvability fold of the fully implicit
-    scheme the residual must be allowed to rise transiently, where a
-    monotone line search provably stalls at local minima.  When it leaves
-    that ceiling or its budget, the damped pass tries steps 1, 1/2, ...,
-    2^-11 and accepts the first that lowers the residual or meets the
-    tolerance.  ``newton_max_iter`` bounds the updates of each pass, and the
-    residual after every update, the last included, is tested against
-    ``newton_tol``.
+    One loop runs two passes from the guess, each a line search along the
+    Newton direction.  The undamped pass tries only the full step and
+    accepts it while the residual stays finite and below ``1e6 (res0 + 1)``:
+    near the solvability fold of the fully implicit scheme the residual
+    must be allowed to rise transiently, where a monotone line search
+    provably stalls at local minima.  When it leaves that ceiling or its
+    budget, the damped pass tries steps 1, 1/2, ..., 2^-11 and accepts the
+    first that lowers the residual or meets the tolerance.
+    ``newton_max_iter`` bounds the updates of each pass, and the residual
+    after every update, the last included, is tested against ``newton_tol``.
     """
-    M, A = ops.M, ops.A
-    n = mesh_next.node_count
-    tau, eps = cfg.tau, cfg.eps
-    layout = block_layout(mesh_next)
-    b_matrix = sp.csr_matrix((b_data, M.indices, M.indptr), shape=M.shape)
-    guess = np.concatenate(initial_guess, dtype=float)
-
-    def linear(lower, x):  # [M a + tau A b; lower a + M b] at x = [a; b]
-        a, b = x[:n], x[n:]
-        return np.concatenate([M @ a + tau * (A @ b), lower @ a + M @ b])
-
-    def residual(x):
-        g = linear(b_matrix, x) - np.concatenate(
-            [rhs1, assemble_nonlinear_load(mesh_next, x[:n], pot) / eps])
-        g[n:] -= rhs2
-        return np.abs(g).max(), g
-
+    guess = np.concatenate(guess, dtype=float)
     for damped in (False, True):
         x = guess
         res, g = residual(x)
@@ -268,13 +245,7 @@ def _newton(ops, rhs1, rhs2, b_data, state, cfg, pot, mesh_next,
         for _ in range(cfg.newton_max_iter):
             if res <= cfg.newton_tol:
                 break
-            lower = assemble_nonlinear_jacobian(mesh_next, x[:n], pot)
-            lower.data = b_data - lower.data / eps  # C = B - J/eps
-            delta = context.solve(
-                spla.LinearOperator((2 * n, 2 * n), lambda v: linear(lower, v),
-                                    dtype=float),
-                lambda: layout.matrix((M.data, tau * A.data, lower.data, M.data)),
-                layout.order, -g, 0.5 * cfg.newton_tol)
+            delta = context.solve(*linearise(x), -g, 0.5 * cfg.newton_tol)
             limit = res if damped else ceiling
             for lam in 0.5 ** np.arange(12 if damped else 1):
                 trial = x + lam * delta
@@ -287,8 +258,7 @@ def _newton(ops, rhs1, rhs2, b_data, state, cfg, pot, mesh_next,
             x, res, g = trial, trial_res, trial_g
             iters += 1
         if res <= cfg.newton_tol:
-            return PhaseState(x[:n], x[n:], time=mesh_next.current_time,
-                              step=state.step + 1, newton_iters=iters)
+            return x, iters
     raise NewtonDivergence(
         f"no convergence to {cfg.newton_tol:g} within "
         f"{cfg.newton_max_iter} undamped or damped iterations"
@@ -309,22 +279,52 @@ def _extrapolate(levels):
 def _ladder(mesh_prev, mesh_next, state, cfg, pot, theta_new, context,
             initial_guess, rescues=()):
     """Build the step system with ``theta_new`` of theta at the new time
-    level (module docstring), then run Newton from ``initial_guess`` if
-    given, the previous state, then each rescue (a callable returning the
-    guess) in turn.  A start fails when its guess or Newton from it raises
-    NewtonDivergence or IterativeBreakdown; the last failure is raised when
-    none is left, any other ends the step."""
+    level (module docstring) once, as the closures ``residual``, on x =
+    [a; b] with B the (2,1) block of the linear part on the pattern of M,
+
+        G1 = M a + tau A b - M_prev alpha_prev
+        G2 = B a + M b - (1/eps) F(a) - rhs2,
+
+    and ``linearise``, whose C = B - J/eps replaces B in four CSR products,
+    gathered in ``block_layout``'s order only to factor.  Newton runs on it
+    from ``initial_guess`` if given, the previous state, then each rescue (a
+    callable returning the guess).  A start fails when its guess or Newton
+    from it raises NewtonDivergence or IterativeBreakdown; the last failure
+    is raised when none is left, any other ends the step."""
     check_length(mesh_prev, state.alpha)
     check_length(mesh_prev, state.beta)
     m_alpha = assemble_operators(mesh_prev).M @ state.alpha
     ops = assemble_operators(mesh_next)
-    rhs2 = ((theta_new - pot.theta) / cfg.eps) * m_alpha
-    b_data = (-cfg.eps) * ops.A.data + (theta_new / cfg.eps) * ops.M.data
+    M, A, n, tau, eps = ops.M, ops.A, mesh_next.node_count, cfg.tau, cfg.eps
+    rhs2 = ((theta_new - pot.theta) / eps) * m_alpha
+    b_data = (-eps) * A.data + (theta_new / eps) * M.data
+    b_matrix = sp.csr_matrix((b_data, M.indices, M.indptr), shape=M.shape)
+    layout = block_layout(mesh_next)
+
+    def linear(lower, x):  # [M a + tau A b; lower a + M b] at x = [a; b]
+        a, b = x[:n], x[n:]
+        return np.concatenate([M @ a + tau * (A @ b), lower @ a + M @ b])
+
+    def residual(x):
+        g = linear(b_matrix, x) - np.concatenate(
+            [m_alpha, assemble_nonlinear_load(mesh_next, x[:n], pot) / eps])
+        g[n:] -= rhs2
+        return np.abs(g).max(), g
+
+    def linearise(x):
+        lower = assemble_nonlinear_jacobian(mesh_next, x[:n], pot)
+        lower.data = b_data - lower.data / eps  # C = B - J/eps
+        return (spla.LinearOperator((2 * n, 2 * n), lambda v: linear(lower, v),
+                                    dtype=float),
+                lambda: layout.matrix((M.data, tau * A.data, lower.data, M.data)),
+                layout.order)
+
     given = [] if initial_guess is None else [lambda: initial_guess]
     for start in given + [lambda: (state.alpha, state.beta), *rescues]:
         try:
-            return _newton(ops, m_alpha, rhs2, b_data, state, cfg, pot,
-                           mesh_next, start(), context)
+            x, iters = _newton(residual, linearise, start(), cfg, context)
+            return PhaseState(x[:n], x[n:], time=mesh_next.current_time,
+                              step=state.step + 1, newton_iters=iters)
         except (NewtonDivergence, IterativeBreakdown) as exc:
             failure = exc
     raise failure

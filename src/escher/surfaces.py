@@ -159,7 +159,7 @@ class ConstantAreaTorus(_TorusBase):
     """Torus with R(t) = major*(1 + rate*t), r(t) = minor/(1 + rate*t).
 
     The product R*r is constant, so the surface area 4 pi^2 R r stays fixed
-    while the shape deforms.
+    while the shape deforms; rate >= 0 keeps r(t) < R(t) for all t >= 0.
     """
 
     kind = "constant_area_torus"
@@ -167,6 +167,8 @@ class ConstantAreaTorus(_TorusBase):
     def __init__(self, major=0.75, minor=0.25, rate=4.0 / 3.0):
         if not 0.0 < minor < major:
             raise ValueError("radii must satisfy 0 < minor < major")
+        if not rate >= 0.0:  # nan fails too
+            raise ValueError("rate must be >= 0: r(t) < R(t) for all t")
         self.major = float(major)
         self.minor = float(minor)
         self.rate = float(rate)

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import time
 import warnings
 
 import numpy as np
@@ -46,6 +47,19 @@ initial = sphere_eoc
 newton.max_iter = 60
 output.dir = {out}
 """
+
+
+# a typed solver failure ends the run within this many seconds, the bound of
+# test_solver.TestFailingDescent; each run below takes 0.05 s or less
+FAILURE_WALL_S = 2.0
+
+
+def main_within_wall(argv):
+    """``main(argv)``, asserted to return within FAILURE_WALL_S seconds."""
+    start = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - start < FAILURE_WALL_S
+    return code
 
 
 def write_config(tmp_path, text, **extra):
@@ -140,13 +154,17 @@ def test_non_finite_initial_value_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("kind, radii", [
     ("constant_area_torus", {"surface.major": 0.2, "surface.minor": 0.5}),
     ("periodic_torus", {"surface.minor": 0.5, "surface.amplitude": 0.25}),
+    # r(t) passes R(t) within the first step, and 1 + rate t is 0 at its end
+    ("constant_area_torus", {"surface.rate": -200}),
 ])
 def test_torus_radii_exit_code(tmp_path, capsys, kind, radii):
-    # a tube that reaches the axis: self-intersecting, caught before any mesh
+    # a tube that reaches the axis at some t: self-intersecting, caught
+    # before any mesh
     cfg, out = write_config(tmp_path, TORUS_RUN.replace("constant_area_torus", kind),
                             **radii)
     assert main(["run", str(cfg)]) == 2
-    assert "surface" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "surface" in err and len(err.splitlines()) == 1
     assert not out.exists()
 
 
@@ -225,7 +243,7 @@ output.dir = {out}
 """
     cfg, _ = write_config(tmp_path, text)
     with pytest.warns(RuntimeWarning, match="multiple solutions"):
-        assert main(["run", str(cfg)]) == 3
+        assert main_within_wall(["run", str(cfg)]) == 3
 
 
 def test_non_finite_geometry_exit_code(tmp_path, capsys):
@@ -247,7 +265,7 @@ def test_beyond_float32_exit_code(tmp_path, capsys, setting):
     cfg, out = write_config(tmp_path, text.replace("eps = 0.1", setting))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(["run", str(cfg)]) == 3
+        assert main_within_wall(["run", str(cfg)]) == 3
     # theta = 1e300 puts every tau above the uniqueness bound
     assert all("multiple solutions" in str(w.message) for w in caught)
     err = capsys.readouterr().err
@@ -274,7 +292,7 @@ def test_imex_theta_beyond_float64_exit_code(tmp_path, capsys):
         "eps = 0.1", "eps = 0.1\ntheta = 1e300"))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(["run", str(cfg)]) == 3
+        assert main_within_wall(["run", str(cfg)]) == 3
     assert not caught
     err = capsys.readouterr().err
     assert "no convergence" in err and len(err.splitlines()) == 1

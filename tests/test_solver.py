@@ -128,7 +128,7 @@ class TestLinearContext:
 
     @staticmethod
     def block(mesh, tau, eps=0.05, theta=1.0, jac=None):
-        """The Newton matrix as ``_newton`` builds it; ``jac`` is the
+        """The Newton matrix as ``_ladder`` builds it; ``jac`` is the
         nonlinear Jacobian (none: the linear part alone)."""
         ops = assemble_operators(mesh)
         b = -eps * ops.A.data + (theta / eps) * ops.M.data
@@ -363,7 +363,7 @@ class TestLinearContext:
 
     def test_natural_order_operator_with_permutation(self, mesh642, pot,
                                                      factor_calls):
-        # as _newton solves: BiCGStab on four CSR products in the natural
+        # as _ladder solves: BiCGStab on four CSR products in the natural
         # order, preconditioned through the layout's permutation by a factor
         # of the gathered matrix, which is built once
         eps, tau = 0.05, 1e-4
@@ -702,6 +702,32 @@ class TestPreviousStateRetry:
         assert out.newton_iters == 3
 
     @pytest.mark.parametrize("stepper", [step_fully_implicit, step_imex])
+    def test_system_built_once_per_ladder(self, start, pot, stepper,
+                                          monkeypatch):
+        # the first start breaks down and the second converges: two Newton
+        # calls on the one system that _ladder built for them
+        mesh, state = start
+        mesh_next = advance_mesh(mesh, self.CFG.tau)
+        far = np.full(mesh.node_count, 1e8)
+        calls, ladder, layout = [], solver._ladder, solver.block_layout
+
+        def ladder_spy(*args, **kwargs):
+            calls.append("ladder")
+            return ladder(*args, **kwargs)
+
+        def layout_spy(*args, **kwargs):
+            calls.append("layout")
+            return layout(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_ladder", ladder_spy)
+        monkeypatch.setattr(solver, "block_layout", layout_spy)
+        _, outcomes = self.step_recording(stepper, mesh, mesh_next, state,
+                                          self.CFG, pot,
+                                          initial_guess=(far, far))
+        assert outcomes == [IterativeBreakdown, None]
+        assert calls == ["ladder", "layout"]
+
+    @pytest.mark.parametrize("stepper", [step_fully_implicit, step_imex])
     def test_after_divergence(self, start, pot, stepper):
         # the previous state converges in 3 iterations; a guess one unit
         # away per node needs more, so it diverges within a budget of 3
@@ -878,8 +904,8 @@ class TestLadderBound:
     calls: the given guess, the previous state, two for the IMEX warm start
     (its own Newton, then Newton from it), three per half-step (previous
     state and warm start, no half-step rung) and one from their endpoint.
-    ``_newton`` is replaced by a stand-in that returns a copy of its start
-    or raises NewtonDivergence, as ``converges`` says."""
+    ``_newton`` is replaced by a stand-in that returns its start, copied
+    into one vector, or raises NewtonDivergence, as ``converges`` says."""
 
     BOUND = 11
     CFG = SchemeConfig(eps=0.05, tau=1e-3, t_end=1e-2)
@@ -894,23 +920,23 @@ class TestLadderBound:
         """Run one step from a given guess; return its state, or the error
         it raised, and the tau of each ``_newton`` call in order.
         ``converges(tau, endpoint)`` decides each call, ``endpoint`` telling
-        whether its start is a state the stand-in returned at a smaller tau
-        for the same time level: the endpoint of the half-steps."""
+        whether its start is a state the stand-in returned at a smaller tau:
+        the endpoint of the half-steps."""
         mesh, state = start
         taus, solved = [], []
 
-        def stand_in(ops, rhs1, rhs2, b_data, state, cfg, pot, mesh_next,
-                     initial_guess, context):
-            endpoint = any(initial_guess[0] is out.alpha and tau < cfg.tau
-                           and out.time == mesh_next.current_time
-                           for tau, out in solved)
+        def stand_in(residual, linearise, guess, cfg, context):
+            # the half-steps' endpoint is the one start that is a view of a
+            # solution returned at a smaller tau: the step's own previous
+            # state, IMEX warm start and first half-step are not
+            endpoint = any(guess[0].base is x and tau < cfg.tau
+                           for tau, x in solved)
             taus.append(cfg.tau)
             if not converges(cfg.tau, endpoint):
                 raise NewtonDivergence("stand-in")
-            out = PhaseState(initial_guess[0].copy(), initial_guess[1].copy(),
-                             time=mesh_next.current_time, step=state.step + 1)
-            solved.append((cfg.tau, out))
-            return out
+            x = np.concatenate(guess)
+            solved.append((cfg.tau, x))
+            return x, 0
 
         monkeypatch.setattr(solver, "_newton", stand_in)
         try:

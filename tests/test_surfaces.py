@@ -170,13 +170,14 @@ def test_factory_round_trip():
     (ConstantAreaTorus, {"major": 0.5, "minor": 0.5}),
     (ConstantAreaTorus, {"minor": 0.0}),
     (ConstantAreaTorus, {"major": -0.75, "minor": -0.25}),
+    (ConstantAreaTorus, {"rate": -1.0}),
     (PeriodicTorus, {"minor": 0.5, "amplitude": 0.25}),
     (PeriodicTorus, {"minor": 0.6, "amplitude": -0.2}),
     (PeriodicTorus, {"major": 0.3, "minor": 0.25}),
 ], ids=["minor_above_major", "minor_equal_major", "zero_minor", "negative_radii",
-        "tube_reaches_axis", "tube_crosses_axis", "small_major"])
+        "shrinking_rate", "tube_reaches_axis", "tube_crosses_axis", "small_major"])
 def test_torus_radii_rejected(cls, params):
-    # the tube radius leaves (0, major) at some t: no embedded torus exists
+    # the tube radius leaves (0, R(t)) at some t >= 0: no embedded torus
     with pytest.raises(ValueError):
         cls(**params)
 
