@@ -5,10 +5,10 @@ A mesh couples a fixed triangle connectivity to node positions that track a
 advancing in time returns a new mesh sharing the connectivity arrays, so
 sparsity patterns built from the connectivity can be reused.
 
-Refinement splits every triangle into four by projected edge midpoints and
+Refinement numbers the edges by the integer key a * N + b of their vertex
+pair (a, b), splits every triangle into four by projected edge midpoints and
 records a prolongation matrix (vertex parents copy, edge parents average),
-which is what the convergence studies use to carry coarse solutions onto
-finer meshes.
+which the convergence studies use to carry coarse solutions onto finer meshes.
 """
 
 import numpy as np
@@ -22,7 +22,7 @@ from .errors import (
     WrongSurfaceKind,
 )
 
-MAX_NODES = 2**20  # largest mesh a configuration or study may ask for
+MAX_NODES = 2**20  # largest mesh any builder makes
 MAX_SUBDIVISIONS = 8  # finest icosphere within it: 10 * 4**8 + 2 nodes
 
 # golden-ratio icosahedron, consistently oriented with outward normals
@@ -90,8 +90,8 @@ def build_icosphere(surface, subdivisions):
     the zero set at t = 0.  Node count 10*4**s + 2, triangle count 20*4**s."""
     if surface.family != "sphere":
         raise WrongSurfaceKind(f"icosphere needs a sphere kind, got {surface.kind}")
-    if subdivisions < 0:
-        raise ValueError("subdivisions must be >= 0")
+    if not 0 <= subdivisions <= MAX_SUBDIVISIONS:
+        raise ValueError(f"subdivisions must be in 0..{MAX_SUBDIVISIONS}")
     nodes = surface.project(_ICO_VERTS, 0.0)
     mesh = SurfaceMesh(nodes, _ICO_FACES, surface)
     for _ in range(subdivisions):
@@ -109,6 +109,8 @@ def build_torus_mesh(surface, n_major, n_minor):
         raise WrongSurfaceKind(f"torus mesh needs a torus kind, got {surface.kind}")
     if n_major < 3 or n_minor < 3:
         raise ValueError("n_major and n_minor must be >= 3")
+    if n_major * n_minor > MAX_NODES:
+        raise ValueError(f"n_major * n_minor must be <= {MAX_NODES}")
     theta = 2.0 * np.pi * np.arange(n_major) / n_major
     psi = 2.0 * np.pi * np.arange(n_minor) / n_minor
     TH, PS = np.meshgrid(theta, psi, indexing="ij")
@@ -130,22 +132,24 @@ def refine(mesh):
 
     The returned mesh carries ``parent_map``: a sparse prolongation whose
     rows copy vertex parents and average the two endpoints of edge parents.
+    A result above ``MAX_NODES`` nodes raises ValueError before any projection.
     """
     tris = mesh.triangles
     n = mesh.node_count
-    # unique undirected edges, lexicographically ordered for determinism
+    # unique edges a < b keyed a * n + b: key order is (a, b)'s, as b < n
     raw = np.vstack([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
     raw.sort(axis=1)
-    edges, inverse = np.unique(raw, axis=0, return_inverse=True)
-    ne = len(edges)
+    keys, inverse = np.unique(raw[:, 0] * n + raw[:, 1], return_inverse=True)
+    ne = len(keys)
+    if n + ne > MAX_NODES:
+        raise ValueError(f"refining gives {n + ne} > {MAX_NODES} nodes")
+    edges = np.column_stack(np.divmod(keys, n))
 
     midpoints = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
     midpoints = mesh.surface.project(midpoints, mesh.current_time)
     nodes = np.vstack([mesh.nodes, midpoints])
 
-    ab = n + inverse[: len(tris)]
-    bc = n + inverse[len(tris): 2 * len(tris)]
-    ca = n + inverse[2 * len(tris):]
+    ab, bc, ca = n + inverse.reshape(3, -1)
     a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
     fine = np.vstack([
         np.column_stack([a, ab, ca]),
@@ -198,16 +202,16 @@ def validate_mesh(mesh):
     """Check admissibility: closed orientable connectivity (else
     BadConnectivity), nodes on the surface (else OffSurface), no degenerate
     triangles (else DegenerateTriangle)."""
-    tris = mesh.triangles
-    if tris.min() < 0 or tris.max() >= mesh.node_count:
+    tris, n = mesh.triangles, mesh.node_count
+    if tris.min() < 0 or tris.max() >= n:
         raise BadConnectivity("triangle indices out of range")
-    directed = np.vstack([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    keys = directed[:, 0] * mesh.node_count + directed[:, 1]
-    if len(np.unique(keys)) != len(keys):
+    a, b = np.vstack([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]).T
+    keys = np.unique(a * n + b)  # directed edges (a, b)
+    if len(keys) != len(a):
         raise BadConnectivity("inconsistent orientation: repeated directed edge")
-    undirected = np.sort(directed, axis=1)
-    _, counts = np.unique(undirected, axis=0, return_counts=True)
-    if not np.all(counts == 2):
+    # with each directed edge once, an edge lies in exactly 2 triangles iff
+    # its reverse is there too and no triangle repeats a vertex
+    if np.any(a == b) or not np.isin(b * n + a, keys).all():
         raise BadConnectivity(
             "surface not closed: edge not shared by exactly 2 triangles")
     mesh.surface.check_on_surface(mesh.nodes, mesh.current_time)

@@ -3,11 +3,16 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from escher import meshing
 from escher.assembly import assemble_operators
 from escher.errors import (
     BadConnectivity,
     DegenerateTriangle,
+    EscherError,
     LengthMismatch,
     LevelOutOfRange,
     OffSurface,
@@ -63,6 +68,14 @@ class TestIcosphere:
         with pytest.raises(ValueError):
             build_icosphere(StaticSphere(), -1)
 
+    def test_too_many_subdivisions(self, monkeypatch):
+        def refuse(mesh):
+            raise AssertionError("refined past MAX_SUBDIVISIONS")
+
+        monkeypatch.setattr(meshing, "refine", refuse)
+        with pytest.raises(ValueError, match="subdivisions"):
+            build_icosphere(StaticSphere(), meshing.MAX_SUBDIVISIONS + 1)
+
 
 class TestTorusMesh:
     def test_counts(self):
@@ -95,6 +108,12 @@ class TestTorusMesh:
         with pytest.raises(ValueError):
             build_torus_mesh(ConstantAreaTorus(), 2, 16)
 
+    def test_grid_above_max_nodes(self, monkeypatch):
+        monkeypatch.setattr(meshing, "MAX_NODES", 100)
+        assert build_torus_mesh(ConstantAreaTorus(), 10, 10).node_count == 100
+        with pytest.raises(ValueError, match="100"):
+            build_torus_mesh(ConstantAreaTorus(), 11, 10)
+
 
 class TestRefine:
     def test_counts_after_one_refinement(self):
@@ -117,6 +136,14 @@ class TestRefine:
         m = build_icosphere(StaticSphere(radius=1.0), 1)
         scaled = SurfaceMesh(2.0 * m.nodes, m.triangles, StaticSphere(radius=2.0))
         assert mesh_size_h(scaled) == pytest.approx(2.0 * mesh_size_h(m))
+
+    def test_above_max_nodes(self, monkeypatch):
+        # 42 nodes and 120 edges: 162 nodes, refused before any projection
+        mesh = build_icosphere(StaticSphere(), 1)
+        monkeypatch.setattr(meshing, "MAX_NODES", 100)
+        monkeypatch.setattr(mesh.surface, "project", None)
+        with pytest.raises(ValueError, match="162 > 100"):
+            refine(mesh)
 
 
 class TestAdvance:
@@ -178,6 +205,10 @@ def broken_icosphere(fault):
         tris[0] = tris[0, ::-1]  # one triangle against the orientation
     elif fault == "open_edge":
         tris = tris[1:]
+    elif fault == "repeated_vertex":  # each directed edge once, reverses too
+        ring = tris[(tris == 0).any(axis=1)]
+        far = np.setdiff1d(np.arange(m.node_count), ring)[0]
+        tris = np.vstack([tris, [0, 0, far]])
     elif fault == "off_surface":
         nodes[0] *= 1.01
     elif fault == "degenerate":  # two vertices coincide, still on the sphere
@@ -192,6 +223,7 @@ class TestValidate:
         ("index_out_of_range", BadConnectivity, "out of range"),
         ("repeated_directed_edge", BadConnectivity, "repeated directed edge"),
         ("open_edge", BadConnectivity, "not shared by exactly 2"),
+        ("repeated_vertex", BadConnectivity, "not shared by exactly 2"),
         ("off_surface", OffSurface, "off the zero set"),
         ("degenerate", DegenerateTriangle, "triangle area"),
         ("nan_node", OffSurface, "off the zero set"),
@@ -223,6 +255,127 @@ class TestValidate:
     def test_geometry_rejects_nan_node(self):
         with pytest.raises(DegenerateTriangle, match="nan"):
             assemble_operators(broken_icosphere("nan_node"))
+
+
+def rowwise_refine(mesh):
+    """Reference refinement: edges numbered by ``np.unique`` over sorted
+    vertex-pair rows, in the lexicographic order ``refine`` must keep.
+    Returns the fine nodes, triangles and parent map."""
+    tris = mesh.triangles
+    n = mesh.node_count
+    raw = np.vstack([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    raw.sort(axis=1)
+    edges, inverse = np.unique(raw, axis=0, return_inverse=True)
+    ne = len(edges)
+
+    midpoints = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
+    midpoints = mesh.surface.project(midpoints, mesh.current_time)
+    nodes = np.vstack([mesh.nodes, midpoints])
+
+    ab = n + inverse[: len(tris)]
+    bc = n + inverse[len(tris): 2 * len(tris)]
+    ca = n + inverse[2 * len(tris):]
+    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+    fine = np.vstack([
+        np.column_stack([a, ab, ca]),
+        np.column_stack([ab, b, bc]),
+        np.column_stack([ca, bc, c]),
+        np.column_stack([ab, bc, ca]),
+    ])
+
+    rows = np.concatenate([np.arange(n), np.repeat(np.arange(n, n + ne), 2)])
+    cols = np.concatenate([np.arange(n), edges.ravel()])
+    vals = np.concatenate([np.ones(n), np.full(2 * ne, 0.5)])
+    return nodes, fine, sp.csr_matrix((vals, (rows, cols)), shape=(n + ne, n))
+
+
+def rowwise_connectivity_error(mesh):
+    """Reference connectivity rule: directed edges unique, and every
+    undirected edge, found by ``np.unique`` over sorted rows, in exactly 2
+    triangles.  Returns the error ``validate_mesh`` must raise, or None."""
+    tris = mesh.triangles
+    directed = np.vstack([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    keys = directed[:, 0] * mesh.node_count + directed[:, 1]
+    if len(np.unique(keys)) != len(keys):
+        return BadConnectivity("inconsistent orientation: repeated directed edge")
+    _, counts = np.unique(np.sort(directed, axis=1), axis=0, return_counts=True)
+    if not np.all(counts == 2):
+        return BadConnectivity(
+            "surface not closed: edge not shared by exactly 2 triangles")
+    return None
+
+
+def relabelled(mesh, seed):
+    """``mesh`` with its nodes and triangles renumbered at random and each
+    triangle's vertices shifted cyclically at random, keeping orientation."""
+    rng = np.random.default_rng(seed)
+    label = rng.permutation(mesh.node_count)  # the new number of each node
+    nodes = np.empty_like(mesh.nodes)
+    nodes[label] = mesh.nodes
+    tris = label[mesh.triangles][rng.permutation(mesh.triangle_count)]
+    shift = rng.integers(3, size=(len(tris), 1))
+    tris = np.take_along_axis(tris, (np.arange(3) + shift) % 3, axis=1)
+    return SurfaceMesh(nodes, tris, mesh.surface)
+
+
+SMALL_MESHES = st.one_of(
+    st.integers(0, 2).map(lambda s: build_icosphere(StaticSphere(), s)),
+    st.tuples(st.integers(3, 8), st.integers(3, 8)).map(
+        lambda grid: build_torus_mesh(ConstantAreaTorus(), *grid)),
+)
+
+
+class TestEdgeKeys:
+    """``refine`` and ``validate_mesh`` find vertex pairs (a, b) by the
+    integer key a * N + b; on any numbering they agree with the row-wise
+    ``np.unique`` references above."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(mesh=SMALL_MESHES, seed=st.integers(0, 2**32 - 1))
+    def test_refine_matches_rowwise(self, mesh, seed):
+        mesh = relabelled(mesh, seed)
+        fine = refine(mesh)
+        nodes, tris, parent = rowwise_refine(mesh)
+        npt.assert_array_equal(fine.nodes, nodes)
+        npt.assert_array_equal(fine.triangles, tris)
+        for name in ("indptr", "indices", "data"):
+            npt.assert_array_equal(getattr(fine.parent_map, name),
+                                   getattr(parent, name))
+
+    @settings(max_examples=20, deadline=None)
+    @given(torus=st.booleans(), seed=st.integers(0, 2**32 - 1),
+           faults=st.lists(st.sampled_from(
+               ["rewire", "repeat", "flip", "delete", "duplicate"]),
+               min_size=1, max_size=3))
+    def test_validate_matches_rowwise(self, torus, seed, faults):
+        mesh = (build_torus_mesh(ConstantAreaTorus(), 6, 4) if torus
+                else build_icosphere(StaticSphere(), 1))
+        rng = np.random.default_rng(seed)
+        tris = mesh.triangles.copy()
+        for fault in faults:
+            i, j = rng.integers(len(tris)), rng.integers(3)
+            if fault == "rewire":
+                tris[i, j] = rng.integers(mesh.node_count)
+            elif fault == "repeat":
+                tris[i, j] = tris[i, (j + 1) % 3]
+            elif fault == "flip":
+                tris[i] = tris[i, ::-1]
+            elif fault == "delete":
+                tris = np.delete(tris, i, axis=0)
+            else:
+                tris = np.vstack([tris, tris[i]])
+        broken = SurfaceMesh(mesh.nodes, tris, mesh.surface)
+        expected = rowwise_connectivity_error(broken)
+        try:
+            validate_mesh(broken)
+            raised = None
+        except EscherError as exc:
+            raised = exc
+        if expected is None:
+            assert not isinstance(raised, BadConnectivity)
+        else:
+            assert (type(raised), str(raised)) == (type(expected),
+                                                    str(expected))
 
 
 class TestHierarchyAndProlongation:

@@ -1,6 +1,7 @@
 """Solver tests: linear solves, the two timestepping schemes, conservation
 and consistency properties, and the smooth-function projection."""
 
+import contextlib
 import inspect
 import os
 import time
@@ -806,9 +807,10 @@ class TestFailingDescent:
     """A fully implicit step that no start solves walks the whole ladder and
     raises a typed error within ``WALL_S`` seconds: at most 11 Newton calls
     (``TestLadderBound``), each within two passes of ``newton_max_iter``
-    Jacobians.  Here every first half-step fails too."""
+    Jacobians.  Here every first half-step fails too.  Random far starts
+    of either scheme end within the same bound."""
 
-    WALL_S = 2.0  # each descent below takes 0.01-0.13 s on a 2-core box
+    WALL_S = 2.0  # the descents below take 0.01-0.66 s on a 2-core box
 
     @pytest.fixture(scope="class")
     def mesh(self):
@@ -897,6 +899,25 @@ class TestFailingDescent:
         assert len(contexts) > 3
         assert isinstance(contexts[0], solver.LinearContext)
         assert all(context is contexts[0] for context in contexts)
+
+    @settings(max_examples=15, deadline=None)
+    @given(scheme=st.sampled_from((FULLY_IMPLICIT, IMEX)),
+           k=st.integers(2, 12), eps=st.sampled_from((0.05, 0.1, 0.5)),
+           tau=st.floats(1e-5, 1e-2), max_iter=st.integers(1, 25))
+    def test_bounded_from_any_far_start(self, mesh, pot, scheme, k, eps, tau,
+                                        max_iter):
+        # the wild start scaled to 10^k: mostly divergence or breakdown
+        cfg = SchemeConfig(eps=eps, tau=tau, t_end=10 * tau, scheme=scheme,
+                           newton_max_iter=max_iter)
+        alpha = 10.0**k * np.random.default_rng(2).normal(size=mesh.node_count)
+        state = PhaseState(alpha, np.zeros_like(alpha))
+        mesh_next = advance_mesh(mesh, tau)
+        start = time.perf_counter()
+        with contextlib.suppress(NewtonDivergence, IterativeBreakdown,
+                                 SingularMatrix):
+            out = solver._STEPPERS[scheme](mesh, mesh_next, state, cfg, pot)
+            assert isinstance(out, PhaseState)
+        assert time.perf_counter() - start < self.WALL_S
 
 
 class TestLadderBound:
