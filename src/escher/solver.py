@@ -33,9 +33,10 @@ implicit scheme, no bound for the implicit-explicit one.  A timestep at or
 above it triggers a warning, not an error, since the scheme may still
 converge to one of the admissible solutions.  Newton tries one ladder of
 starts (``_ladder``): the given guess (below the bound, the extrapolant of
-the last three time levels, two on the second step), the previous time
-level, then for the fully implicit scheme an IMEX warm start and two
-half-steps, at most 11 Newton calls a step (``step_fully_implicit``).
+the last ``LEVELS`` time levels whose order the backward differences pick,
+``_extrapolate``), the previous time level, then for the fully implicit
+scheme an IMEX warm start and two half-steps, at most 11 Newton calls a
+step (``step_fully_implicit``).
 
 ``SchemeConfig.validate`` checks every setting the schemes read, the
 timestep dividing the final time included; ``config.RunConfig`` extends it.
@@ -43,7 +44,6 @@ timestep dividing the final time included; ``config.RunConfig`` extends it.
 
 import warnings
 from dataclasses import dataclass, field, replace
-from math import comb
 
 import numpy as np
 import scipy.sparse as sp
@@ -70,6 +70,7 @@ FULLY_IMPLICIT = "fully_implicit"
 IMEX = "imex"
 SCHEMES = (FULLY_IMPLICIT, IMEX)
 MAX_NEWTON_ITER = 1000  # a run whose newton_tol is below roundoff must end
+LEVELS = 7  # time levels kept for the Newton start (``_extrapolate``)
 
 
 @dataclass(frozen=True)
@@ -266,14 +267,21 @@ def _newton(residual, linearise, guess, cfg, context):
 
 
 def _extrapolate(levels):
-    """Value at the next time level of the polynomial through ``levels``,
-    states at equally spaced times, newest first: the newest state for one
-    level, ``2 x_n - x_(n-1)`` for two, ``3 x_n - 3 x_(n-1) + x_(n-2)``
-    for three."""
-    weights = [(-1) ** k * comb(len(levels), k + 1)
-               for k in range(len(levels))]
-    return tuple(sum(w * getattr(s, name) for w, s in zip(weights, levels))
-                 for name in ("alpha", "beta"))
+    """Newton start from ``levels``, states at equally spaced times, newest
+    first.  With D_k the k-th backward difference of [alpha; beta] at the
+    newest level, the order m is the k in 1 .. len - 1 of the least max |D_k|
+    (the lowest on ties), and the start is D_0 + ... + D_(m-1), the next value
+    of the polynomial through the newest m levels (Shampine & Reichelt, SIAM
+    J. Sci. Comput. 18, 1997): a level off a smooth trajectory, as x_0 in the
+    initial layer, makes every D_k that reaches it large.  None for m = 1,
+    whose start is the newest state, and for one level."""
+    table = np.array([np.concatenate((s.alpha, s.beta)) for s in levels])
+    for k in range(1, len(table)):  # row k becomes D_k
+        table[k:] = table[k - 1:-1] - table[k:]
+    sizes = np.abs(table[1:]).max(axis=1)
+    m = 1 + int(sizes.argmin()) if sizes.size else 1
+    guess, n = table[:m].sum(axis=0), levels[0].alpha.size
+    return (guess[:n], guess[n:]) if m > 1 else None
 
 
 def _ladder(mesh_prev, mesh_next, state, cfg, pot, theta_new, context,
@@ -433,7 +441,8 @@ def run_simulation(cfg, mesh, alpha0, pot, *, snapshot_every=0):
     Advances the mesh with the surface's exact node motion before every
     step, records energy/mass/area diagnostics per step, and keeps
     ``(mesh, state)`` snapshots every ``snapshot_every`` steps when that
-    cadence is positive.
+    cadence is positive.  Where each step has one solution, Newton starts
+    from ``_extrapolate`` of the last ``LEVELS`` time levels.
     """
     cfg.validate()
     n_steps = cfg.step_count()
@@ -454,13 +463,12 @@ def run_simulation(cfg, mesh, alpha0, pot, *, snapshot_every=0):
     t0 = mesh.current_time
     state = PhaseState(alpha0, chemical_potential_for(mesh, alpha0, cfg, pot),
                        time=t0, step=0)
-    levels = [state]  # the last three time levels, newest first
+    levels = [state]  # the last LEVELS time levels, newest first
     records = [_record(mesh, state, cfg, pot)]
     snapshots = [(mesh, state)] if snapshot_every > 0 else []
 
     for n in range(1, n_steps + 1):
-        # none on step 1: its extrapolant is the previous state, tried next
-        guess = _extrapolate(levels) if unique and len(levels) > 1 else None
+        guess = _extrapolate(levels) if unique else None
         try:
             mesh_next = advance_mesh(mesh, t0 + n * cfg.tau)
             state = stepper(mesh, mesh_next, state, cfg, pot,
@@ -469,7 +477,7 @@ def run_simulation(cfg, mesh, alpha0, pot, *, snapshot_every=0):
             exc.args = (f"step {n} (t={t0 + n * cfg.tau:g}): {exc}",)
             raise
         mesh = mesh_next
-        levels = [state, *levels[:2]]
+        levels = [state, *levels[:LEVELS - 1]]
         records.append(_record(mesh, state, cfg, pot))
         if snapshot_every > 0 and n % snapshot_every == 0:
             snapshots.append((mesh, state))

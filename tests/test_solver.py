@@ -26,7 +26,7 @@ from escher.assembly import (
     block_layout,
     integrate_composed,
 )
-from escher.config import sphere_eoc_initial
+from escher.config import sphere_eoc_initial, torus_initial
 from escher.diagnostics import discrete_mass, ginzburg_landau_energy, l2_error
 from escher.errors import (
     EscherError,
@@ -546,9 +546,9 @@ class TestSteps:
 
     def test_newton_iteration_budget(self, pot):
         # tau = 1e-4 is below the uniqueness bound, so Newton starts from the
-        # previous state on step 1 and from the extrapolant of the last two
-        # or three time levels after; no step takes more than 3 iterations,
-        # well within eight
+        # previous state on steps 1 and 2 and from the extrapolant that
+        # _extrapolate picks from the kept time levels after; no step takes
+        # more than 3 iterations, well within eight
         mesh = build_icosphere(OscillatingSphere(), 2)
         cfg = SchemeConfig(eps=0.05, tau=1e-4, t_end=2e-3)
         alpha = initial_data_interpolate(mesh, sphere_eoc_initial)
@@ -574,9 +574,10 @@ class TestSteps:
         assert out.newton_iters == k
 
     def test_extrapolated_start_saves_iterations(self, pot):
-        # the quadratic extrapolant lands within newton_tol after one
-        # iteration once the trajectory is smooth: 49 iterations over 40
-        # steps, where the linear extrapolant took 2 a step (80)
+        # the extrapolant picked from the last seven levels lands within
+        # newton_tol after one iteration once the trajectory is smooth: 47
+        # iterations over 40 steps, 49 with the quadratic extrapolant of the
+        # last three levels, where the linear extrapolant took 2 a step (80)
         mesh = build_icosphere(OscillatingSphere(), 3)
         cfg = SchemeConfig(eps=0.1, tau=1e-4, t_end=4e-3)
         assert cfg.tau < cfg.uniqueness_bound(pot)
@@ -1003,10 +1004,81 @@ class TestLadderBound:
         assert set(taus) <= {self.CFG.tau, self.CFG.tau / 2}
 
 
+class TestExtrapolate:
+    """``_extrapolate`` sums the backward differences of [alpha; beta] below
+    the order m whose difference is least in max-norm: the polynomial
+    extrapolant through the newest m levels, None when m = 1."""
+
+    LEVELS = 7  # as run_simulation keeps
+    N = 200  # nodes; each level stacks 2 N values
+    H = 0.1  # time between levels
+
+    @classmethod
+    def levels(cls, rows):  # rows [alpha; beta], newest first
+        return [PhaseState(row[:cls.N], row[cls.N:]) for row in rows]
+
+    def test_polynomial_next_value(self):
+        # a degree-d polynomial is exact from its newest d + 1 levels, whose
+        # stencil's weights sum to 2^(d+1) - 1 in magnitude; the stencil of
+        # all seven levels sums to 127 and carries that much roundoff
+        rng = np.random.default_rng(5)
+        t = 1.0 - self.H * np.arange(self.LEVELS + 1)  # the next time first
+        for degree in range(1, 5):
+            coeffs = rng.normal(size=(degree + 1, 2 * self.N))
+            rows = np.polynomial.polynomial.polyval(t, coeffs).T
+            guess = np.concatenate(solver._extrapolate(self.levels(rows[1:])))
+            assert np.abs(guess - rows[0]).max() <= (
+                2.0 ** (degree + 1) * np.finfo(float).eps * np.abs(rows).max())
+
+    def test_level_off_the_trajectory_is_dropped(self):
+        # the oldest level, moved off a smooth trajectory as x_0 can lie off
+        # it in the stiff initial layer, enters only the largest difference
+        rates = np.random.default_rng(6).uniform(-1.0, 1.0, 2 * self.N)
+        t = -self.H * np.arange(self.LEVELS)
+        rows = np.exp(np.outer(t, rates))
+        rows[-1] += 0.5
+        guess = solver._extrapolate(self.levels(rows))
+        clean = solver._extrapolate(self.levels(rows[:-1]))
+        npt.assert_array_equal(np.concatenate(guess), np.concatenate(clean))
+        # m = 5 of six clean levels: off x(H) by about (H max|rate|)^5
+        exact = np.exp(self.H * rates)
+        assert np.abs(np.concatenate(guess) - exact).max() <= 1e-4
+
+    def test_constant_levels_give_no_guess(self):
+        # the extrapolant is the newest state, which the ladder tries next
+        row = np.random.default_rng(7).normal(size=2 * self.N)
+        rows = np.tile(row, (self.LEVELS, 1))
+        for count in (1, 2, self.LEVELS):
+            assert solver._extrapolate(self.levels(rows[:count])) is None
+
+
 class TestExtrapolatedStart:
-    """``run_simulation`` starts Newton from 2 x_n - x_(n-1) on step 2 and
-    from 3 x_n - 3 x_(n-1) + x_(n-2) after, where each step has one
-    solution; the start must not change what is solved."""
+    """``run_simulation`` starts Newton from ``_extrapolate`` of the last
+    ``LEVELS`` time levels where each step has one solution.  The start must
+    not change what is solved: the linear and quadratic extrapolants it can
+    pick on steps 3 and 4 converge, in one Newton call, to the step's
+    solution from the previous state."""
+
+    @pytest.mark.parametrize("case", ["imex-torus", "oscillating-sphere"])
+    def test_one_newton_call_a_step(self, pot, case):
+        # 20 steps each: the quadratic extrapolant of the last three levels
+        # takes 41 Newton iterations on both, this start 29
+        if case == "imex-torus":
+            mesh = build_torus_mesh(ConstantAreaTorus(), 24, 12)
+            cfg = SchemeConfig(eps=0.05, tau=5e-5, t_end=1e-3, scheme=IMEX)
+            u0 = torus_initial
+        else:
+            mesh = build_icosphere(OscillatingSphere(), 3)
+            cfg = SchemeConfig(eps=0.1, tau=2e-4, t_end=4e-3)
+            u0 = sphere_eoc_initial
+        assert cfg.tau < cfg.uniqueness_bound(pot)
+        with mock.patch.object(solver, "_newton",
+                               wraps=solver._newton) as newton:
+            result = run_simulation(
+                cfg, mesh, initial_data_interpolate(mesh, u0), pot)
+        assert len(result.records) == 21
+        assert newton.call_count == 20  # no fallback fired
+        assert sum(r.newton_iters for r in result.records[1:]) < 41
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
@@ -1022,13 +1094,13 @@ class TestExtrapolatedStart:
         alpha0 = smooth_random_pm_data(mesh, seed)
         result = run_simulation(cfg, mesh, alpha0, pot, snapshot_every=1)
 
-        (_, s0), (m1, s1), (m2, s2), (m3, s3) = result.snapshots[:4]
+        (_, s1), (m2, s2), (m3, s3), (m4, s4) = result.snapshots[1:5]
         stepper = solver._STEPPERS[scheme]
         for (mesh_prev, mesh_next, state, ran, guess) in (
-                (m1, m2, s1, s2, (2 * s1.alpha - s0.alpha,
-                                  2 * s1.beta - s0.beta)),
-                (m2, m3, s2, s3, (3 * s2.alpha - 3 * s1.alpha + s0.alpha,
-                                  3 * s2.beta - 3 * s1.beta + s0.beta))):
+                (m2, m3, s2, s3, (2 * s2.alpha - s1.alpha,
+                                  2 * s2.beta - s1.beta)),
+                (m3, m4, s3, s4, (3 * s3.alpha - 3 * s2.alpha + s1.alpha,
+                                  3 * s3.beta - 3 * s2.beta + s1.beta))):
             with mock.patch.object(solver, "_newton",
                                    wraps=solver._newton) as newton:
                 extrapolated = stepper(mesh_prev, mesh_next, state, cfg, pot,
@@ -1070,8 +1142,10 @@ def random_surface_meshes(draw):
 
 
 class TestInvariants:
-    """The paper's invariants over random surfaces and parameters, each
-    step below the fully implicit uniqueness bound 4 eps^3 / theta^2."""
+    """The paper's invariants over random surfaces and parameters: per-step
+    mass conservation, and energy decay and one solution per step below
+    the fully implicit uniqueness bound 4 eps^3 / theta^2; IMEX energy
+    decay on a stationary surface at any tau."""
 
     @settings(max_examples=12, deadline=None)
     @given(mesh=random_surface_meshes(), seed=st.integers(0, 2**32 - 1),
@@ -1109,6 +1183,58 @@ class TestInvariants:
                                 quartic_potential(theta))
         energies = np.array([r.energy for r in result.records])
         assert np.diff(energies).max() <= 10 * mesh.node_count * cfg.newton_tol
+
+    @settings(max_examples=15, deadline=None)
+    @given(radius=st.floats(0.5, 2.0), subdivisions=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1), eps=st.floats(0.02, 0.5),
+           theta=st.floats(0.1, 3.0), log_tau=st.floats(-5.0, 2.0))
+    def test_imex_energy_decays_at_any_tau(self, radius, subdivisions, seed,
+                                           eps, theta, log_tau):
+        """The convex-concave splitting lowers the energy at every step on a
+        stationary surface, whatever tau (Eyre, MRS Proc. 529, 1998).
+        Draws: a static sphere of radius 0.5-2 at subdivision 1-3, eps
+        0.02-0.5, theta 0.1-3, tau log-uniform in [1e-5, 1e2], 6 steps."""
+        mesh = build_icosphere(StaticSphere(radius), subdivisions)
+        tau = 10.0 ** log_tau
+        cfg = SchemeConfig(eps=eps, tau=tau, t_end=6 * tau, scheme=IMEX)
+        result = run_simulation(cfg, mesh, smooth_random_pm_data(mesh, seed),
+                                quartic_potential(theta))
+        energies = np.array([r.energy for r in result.records])
+        assert len(energies) == 7
+        assert np.diff(energies).max() <= 10 * mesh.node_count * cfg.newton_tol
+
+    @settings(max_examples=15, deadline=None)
+    @given(static=st.booleans(), seed=st.integers(0, 2**32 - 1),
+           start=st.integers(0, 2**32 - 1), eps=st.floats(0.05, 0.3),
+           theta=st.floats(0.5, 1.5), fraction=st.floats(0.05, 0.95),
+           log_scale=st.floats(-1.0, 1.0))
+    def test_one_solution_below_the_bound(self, static, seed, start, eps,
+                                          theta, fraction, log_scale):
+        """Below tau = 4 eps^3 / theta^2 the fully implicit step has one
+        solution: Newton from a drawn start converges, in one ``_newton``
+        call, to the step's solution from the previous state.  Draws: a
+        static or oscillating sphere at subdivision 2, eps 0.05-0.3, theta
+        0.5-1.5, tau = (0.05-0.95) 4 eps^3 / theta^2, and a start uniform
+        per node in [-s, s] for alpha and [-s/eps, s/eps] for beta, with
+        s = 10^[-1, 1]."""
+        surface = StaticSphere() if static else OscillatingSphere()
+        mesh = build_icosphere(surface, 2)
+        pot = quartic_potential(theta)
+        tau = fraction * 4.0 * eps**3 / theta**2
+        cfg = SchemeConfig(eps=eps, tau=tau, t_end=tau)
+        state = make_state(mesh, smooth_random_pm_data(mesh, seed), cfg, pot)
+        mesh_next = advance_mesh(mesh, tau)
+        solution = step_fully_implicit(mesh, mesh_next, state, cfg, pot)
+        rng, s = np.random.default_rng(start), 10.0 ** log_scale
+        guess = (rng.uniform(-s, s, mesh.node_count),
+                 rng.uniform(-s / eps, s / eps, mesh.node_count))
+        with mock.patch.object(solver, "_newton",
+                               wraps=solver._newton) as newton:
+            out = step_fully_implicit(mesh, mesh_next, state, cfg, pot,
+                                      initial_guess=guess)
+        assert newton.call_count == 1  # the drawn start converged
+        assert np.abs(out.alpha - solution.alpha).max() <= 1e-9
+        assert eps * np.abs(out.beta - solution.beta).max() <= 1e-9
 
 
 class TestRunSimulation:
