@@ -33,10 +33,10 @@ implicit scheme, no bound for the implicit-explicit one.  A timestep at or
 above it triggers a warning, not an error, since the scheme may still
 converge to one of the admissible solutions.  Newton tries one ladder of
 starts (``_ladder``): the given guess (below the bound, the extrapolant of
-the last ``LEVELS`` time levels whose order the backward differences pick,
-``_extrapolate``), the previous time level, then for the fully implicit
-scheme an IMEX warm start and two half-steps, at most 11 Newton calls a
-step (``step_fully_implicit``).
+the last ``LEVELS`` time levels summed up to their least backward
+difference, ``_extrapolate``), the previous time level, then for the fully
+implicit scheme an IMEX warm start and two half-steps, at most 11 Newton
+calls a step (``step_fully_implicit``).
 
 ``SchemeConfig.validate`` checks every setting the schemes read, the
 timestep dividing the final time included; ``config.RunConfig`` extends it.
@@ -269,19 +269,21 @@ def _newton(residual, linearise, guess, cfg, context):
 def _extrapolate(levels):
     """Newton start from ``levels``, states at equally spaced times, newest
     first.  With D_k the k-th backward difference of [alpha; beta] at the
-    newest level, the order m is the k in 1 .. len - 1 of the least max |D_k|
-    (the lowest on ties), and the start is D_0 + ... + D_(m-1), the next value
-    of the polynomial through the newest m levels (Shampine & Reichelt, SIAM
-    J. Sci. Comput. 18, 1997): a level off a smooth trajectory, as x_0 in the
-    initial layer, makes every D_k that reaches it large.  None for m = 1,
-    whose start is the newest state, and for one level."""
+    newest level and k* the k in 1 .. len - 1 of the least max |D_k| (the
+    lowest on ties), the start is D_0 + ... + D_k*, the next value of the
+    polynomial through the newest k* + 1 levels (Shampine & Reichelt, SIAM
+    J. Sci. Comput. 18, 1997): D_k* is the evidence that this stencil is
+    smooth, and a level off the trajectory, as x_0 in the initial layer,
+    makes every D_k that reaches it large.  Two levels give 2 x_0 - x_1.
+    None for one level and for D_1 = 0, whose start is the newest state."""
     table = np.array([np.concatenate((s.alpha, s.beta)) for s in levels])
     for k in range(1, len(table)):  # row k becomes D_k
         table[k:] = table[k - 1:-1] - table[k:]
     sizes = np.abs(table[1:]).max(axis=1)
-    m = 1 + int(sizes.argmin()) if sizes.size else 1
-    guess, n = table[:m].sum(axis=0), levels[0].alpha.size
-    return (guess[:n], guess[n:]) if m > 1 else None
+    if not sizes[:1].any():  # one level, or D_1 = 0: the ladder's next start
+        return None
+    guess, n = table[:2 + int(sizes.argmin())].sum(axis=0), levels[0].alpha.size
+    return guess[:n], guess[n:]
 
 
 def _ladder(mesh_prev, mesh_next, state, cfg, pot, theta_new, context,

@@ -1,13 +1,21 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import io
+import os
+import tempfile
 import time
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from escher import cli, config, meshing, studies
 from escher.cli import main
+from escher.solver import SCHEMES
+from escher.surfaces import surface_kinds
 from vtk_reader import read_snapshot
 
 SMOKE_RUN = """
@@ -436,3 +444,96 @@ def test_oversize_mesh_exit_code(tmp_path, capsys, no_meshes, command, text,
     err = capsys.readouterr().err
     assert err == f"escher: configuration error: {message}\n"
     assert not out.exists()
+
+
+# values a fuzzed key may take in place of a valid one: subnormal, tiny,
+# huge, zero, negative and non-finite
+EXTREMES = ("5e-324", "1e-300", "1e-100", "1e-30", "1e-10", "1e-3", "1e3",
+            "1e10", "1e30", "1e100", "1e300", "0", "-1", "nan", "inf")
+FUZZ_WALL_S = 10.0  # every fuzzed call ends within this many seconds
+
+SURFACE_PARAMS = {  # valid parameters of each kind
+    "static_sphere": {"radius": st.floats(0.5, 2.0)},
+    "oscillating_sphere": {"base": st.floats(0.5, 1.5),
+                           "amplitude": st.floats(-0.2, 0.2),
+                           "omega": st.floats(0.0, 20.0 * np.pi)},
+    "constant_area_torus": {"major": st.floats(0.6, 1.2),
+                            "minor": st.floats(0.1, 0.5),
+                            "rate": st.floats(0.0, 2.0)},
+    "periodic_torus": {"major": st.floats(0.6, 1.2),
+                       "minor": st.floats(0.1, 0.5),
+                       "amplitude": st.floats(-0.09, 0.09),
+                       "omega": st.floats(0.0, 20.0 * np.pi)},
+}
+VALID = {
+    "mesh.subdivisions": st.integers(0, 2),
+    "mesh.n_major": st.integers(3, 12),
+    "mesh.n_minor": st.integers(3, 6),
+    "eps": st.floats(0.02, 0.5),
+    "theta": st.floats(0.0, 3.0),
+    "scheme": st.sampled_from(SCHEMES),
+    "initial": st.sampled_from(config.INITIAL_DATA),
+    "initial.value": st.floats(-1.0, 1.0),
+    "newton.tol": st.floats(-13.0, -6.0).map(lambda e: 10.0 ** e),
+    "newton.max_iter": st.integers(1, 60),
+    "output.dir": st.just("out"),  # relative: each call runs in a new dir
+    "output.snapshot_every": st.integers(0, 10),
+}
+SIZES = ("mesh.n_major", "mesh.n_minor")  # always drawn: 48 x 16 by default
+FUZZED_KEYS = sorted({"surface.kind", "tau", *VALID, *(
+    f"surface.{name}" for params in SURFACE_PARAMS.values() for name in params)})
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """A config text: for a drawn surface kind, each key of VALID and each
+    of the kind's parameters left out or valid, SIZES always valid; then up
+    to five keys of FUZZED_KEYS, any kind's parameters included, from
+    EXTREMES; and T = steps * tau for 0 to 10 steps."""
+    kind = draw(st.sampled_from(surface_kinds()))
+    valid = {**VALID, **{f"surface.{name}": value
+                         for name, value in SURFACE_PARAMS[kind].items()}}
+    values = {"surface.kind": kind}
+    for key, value in valid.items():
+        if key in SIZES or draw(st.booleans()):
+            values[key] = str(draw(value))
+    values["tau"] = repr(10.0 ** draw(st.floats(-5.0, -1.0)))
+    for key in draw(st.sets(st.sampled_from(FUZZED_KEYS), max_size=5)):
+        values[key] = draw(st.sampled_from(EXTREMES))
+    values["T"] = repr(draw(st.integers(0, 10)) * float(values["tau"]))
+    return "".join(f"{key} = {value}\n" for key, value in values.items())
+
+
+@settings(max_examples=15, deadline=None)
+@given(text=fuzzed_configs(),
+       command=st.sampled_from((["run"], ["mesh-info"],
+                                ["eoc", "--levels", "2"])))
+def test_cli_over_random_configs(text, command):
+    """Any config of the fuzz grammar exits 0, 2 or 3, a failure with one
+    stderr line, within FUZZ_WALL_S.  Valid draws: the four surface kinds
+    with radius 0.5-2, base 0.5-1.5, amplitude +-0.2 (+-0.09 on the
+    periodic torus), omega 0-20 pi, major 0.6-1.2, minor 0.1-0.5 and rate
+    0-2; subdivisions 0-2, tori 3-12 x 3-6; eps 0.02-0.5, theta 0-3, both
+    schemes, the three initial data, initial.value +-1; newton.tol
+    log-uniform in [1e-13, 1e-6], newton.max_iter 1-60; snapshots every
+    0-10 steps; tau log-uniform in [1e-5, 1e-1].  Up to five keys take a
+    value of EXTREMES, and T = steps * tau for 0-10 steps, so no config asks
+    for more than 10 steps.  Warnings are not counted as stderr lines."""
+    with tempfile.TemporaryDirectory() as work:
+        cwd = os.getcwd()
+        os.chdir(work)  # a relative output.dir lands here
+        err = io.StringIO()
+        try:
+            with open("run.cfg", "w") as cfg:
+                cfg.write(text)
+            start = time.perf_counter()
+            with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("ignore")
+                code = main([command[0], "run.cfg", *command[1:]])
+            elapsed = time.perf_counter() - start
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 2, 3)
+    assert code == 0 or len(err.getvalue().splitlines()) == 1
+    assert elapsed < FUZZ_WALL_S

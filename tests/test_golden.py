@@ -98,10 +98,17 @@ def test_outputs_match_manifest(name, tmp_path):
 
 
 def write_manifest():
-    cases = {}
+    """Rewrite the manifest and print each case/file whose digest it
+    changes, then how many changed of how many."""
+    old = json.loads(MANIFEST.read_text())["cases"] if MANIFEST.exists() else {}
+    cases, changed = {}, []
     for name in CASES:
         with tempfile.TemporaryDirectory() as workdir:
             cases[name] = run_case(name, workdir)
+        changed += [f"{name}/{file}" for file, digest in cases[name].items()
+                    if old.get(name, {}).get(file) != digest]
+    print(*changed, sep="\n")
+    print(f"{len(changed)} of {sum(map(len, cases.values()))} digests changed")
     MANIFEST.write_text(json.dumps({"versions": versions(), "cases": cases},
                                    indent=1, sort_keys=True) + "\n")
 

@@ -546,9 +546,9 @@ class TestSteps:
 
     def test_newton_iteration_budget(self, pot):
         # tau = 1e-4 is below the uniqueness bound, so Newton starts from the
-        # previous state on steps 1 and 2 and from the extrapolant that
-        # _extrapolate picks from the kept time levels after; no step takes
-        # more than 3 iterations, well within eight
+        # previous state on step 1 and from the extrapolant that _extrapolate
+        # picks from the kept time levels after; no step takes more than 3
+        # iterations (29 over 20 steps), well within eight
         mesh = build_icosphere(OscillatingSphere(), 2)
         cfg = SchemeConfig(eps=0.05, tau=1e-4, t_end=2e-3)
         alpha = initial_data_interpolate(mesh, sphere_eoc_initial)
@@ -575,7 +575,7 @@ class TestSteps:
 
     def test_extrapolated_start_saves_iterations(self, pot):
         # the extrapolant picked from the last seven levels lands within
-        # newton_tol after one iteration once the trajectory is smooth: 47
+        # newton_tol after one iteration once the trajectory is smooth: 44
         # iterations over 40 steps, 49 with the quadratic extrapolant of the
         # last three levels, where the linear extrapolant took 2 a step (80)
         mesh = build_icosphere(OscillatingSphere(), 3)
@@ -1005,11 +1005,11 @@ class TestLadderBound:
 
 
 class TestExtrapolate:
-    """``_extrapolate`` sums the backward differences of [alpha; beta] below
-    the order m whose difference is least in max-norm: the polynomial
-    extrapolant through the newest m levels, None when m = 1."""
+    """``_extrapolate`` sums the backward differences of [alpha; beta] up to
+    the one least in max-norm, D_k*: the polynomial extrapolant through the
+    newest k* + 1 levels, None for one level and for D_1 = 0."""
 
-    LEVELS = 7  # as run_simulation keeps
+    LEVELS = solver.LEVELS  # as run_simulation keeps
     N = 200  # nodes; each level stacks 2 N values
     H = 0.1  # time between levels
 
@@ -1018,17 +1018,27 @@ class TestExtrapolate:
         return [PhaseState(row[:cls.N], row[cls.N:]) for row in rows]
 
     def test_polynomial_next_value(self):
-        # a degree-d polynomial is exact from its newest d + 1 levels, whose
-        # stencil's weights sum to 2^(d+1) - 1 in magnitude; the stencil of
-        # all seven levels sums to 127 and carries that much roundoff
+        # a degree-d polynomial is exact from d + 2 levels: D_(d+1) is
+        # roundoff, the least, so the start is the extrapolant through all
+        # d + 2, whose weights C(d + 2, j) sum to 2^(d+2) - 1 in magnitude;
+        # they carry each level's rounding, about eps max|x| from polyval,
+        # into the start, hence the bound 2^(d+2) eps max|x|
         rng = np.random.default_rng(5)
         t = 1.0 - self.H * np.arange(self.LEVELS + 1)  # the next time first
-        for degree in range(1, 5):
+        for degree in range(1, self.LEVELS - 1):
             coeffs = rng.normal(size=(degree + 1, 2 * self.N))
             rows = np.polynomial.polynomial.polyval(t, coeffs).T
-            guess = np.concatenate(solver._extrapolate(self.levels(rows[1:])))
+            guess = np.concatenate(
+                solver._extrapolate(self.levels(rows[1:degree + 3])))
             assert np.abs(guess - rows[0]).max() <= (
-                2.0 ** (degree + 1) * np.finfo(float).eps * np.abs(rows).max())
+                2.0 ** (degree + 2) * np.finfo(float).eps * np.abs(rows).max())
+
+    def test_two_levels_give_the_linear_start(self):
+        # integer values: D_0 + D_1 and 2 x_0 - x_1 are both exact
+        rows = np.random.default_rng(8).integers(-2**20, 2**20, (2, 2 * self.N))
+        rows = rows.astype(float)
+        guess = solver._extrapolate(self.levels(rows))
+        npt.assert_array_equal(np.concatenate(guess), 2 * rows[0] - rows[1])
 
     def test_level_off_the_trajectory_is_dropped(self):
         # the oldest level, moved off a smooth trajectory as x_0 can lie off
@@ -1040,12 +1050,13 @@ class TestExtrapolate:
         guess = solver._extrapolate(self.levels(rows))
         clean = solver._extrapolate(self.levels(rows[:-1]))
         npt.assert_array_equal(np.concatenate(guess), np.concatenate(clean))
-        # m = 5 of six clean levels: off x(H) by about (H max|rate|)^5
+        # k* = 5: the polynomial through all six clean levels, off x(H) by
+        # about (H max|rate|)^6
         exact = np.exp(self.H * rates)
         assert np.abs(np.concatenate(guess) - exact).max() <= 1e-4
 
     def test_constant_levels_give_no_guess(self):
-        # the extrapolant is the newest state, which the ladder tries next
+        # D_1 = 0: the start is the newest state, which the ladder tries next
         row = np.random.default_rng(7).normal(size=2 * self.N)
         rows = np.tile(row, (self.LEVELS, 1))
         for count in (1, 2, self.LEVELS):
@@ -1054,15 +1065,17 @@ class TestExtrapolate:
 
 class TestExtrapolatedStart:
     """``run_simulation`` starts Newton from ``_extrapolate`` of the last
-    ``LEVELS`` time levels where each step has one solution.  The start must
-    not change what is solved: the linear and quadratic extrapolants it can
-    pick on steps 3 and 4 converge, in one Newton call, to the step's
-    solution from the previous state."""
+    ``LEVELS`` time levels where each step has one solution, from step 2 on,
+    where it is the linear extrapolant.  The start must not change what is
+    solved: the linear extrapolant on step 3 and the quadratic on step 4,
+    both of which it can pick there, converge, in one Newton call, to the
+    step's solution from the previous state."""
 
     @pytest.mark.parametrize("case", ["imex-torus", "oscillating-sphere"])
     def test_one_newton_call_a_step(self, pot, case):
         # 20 steps each: the quadratic extrapolant of the last three levels
-        # takes 41 Newton iterations on both, this start 29
+        # takes 41 Newton iterations on both, this start 26 (torus) and 28
+        # (sphere)
         if case == "imex-torus":
             mesh = build_torus_mesh(ConstantAreaTorus(), 24, 12)
             cfg = SchemeConfig(eps=0.05, tau=5e-5, t_end=1e-3, scheme=IMEX)
