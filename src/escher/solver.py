@@ -64,7 +64,7 @@ from .errors import (
     SingularMatrix,
     ValidationError,
 )
-from .meshing import advance_mesh, mesh_size_h, surface_area
+from .meshing import SurfaceMesh, advance_mesh, mesh_size_h, surface_area
 
 FULLY_IMPLICIT = "fully_implicit"
 IMEX = "imex"
@@ -397,12 +397,16 @@ def chemical_potential_for(mesh, alpha, cfg, pot):
     solves M beta = eps A alpha + (1/eps)(F(alpha) - theta M alpha) by
     Jacobi-PCG, within MASS_CG_MAXITER iterations as kappa(D^-1 M) <= 4 for
     P1 triangles (Wathen, IMA J. Numer. Anal. 7, 1987), D = diag M; raises
-    SingularMatrix or IterativeBreakdown."""
+    SingularMatrix, also for a right-hand side beyond the float64 range, or
+    IterativeBreakdown."""
     alpha = check_length(mesh, alpha)
     ops = assemble_operators(mesh)
-    rhs = cfg.eps * (ops.A @ alpha) + (
-        assemble_nonlinear_load(mesh, alpha, pot) - pot.theta * (ops.M @ alpha)
-    ) / cfg.eps
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        rhs = cfg.eps * (ops.A @ alpha) + (
+            assemble_nonlinear_load(mesh, alpha, pot) - pot.theta * (ops.M @ alpha)
+        ) / cfg.eps
+    if not np.isfinite(rhs).all():
+        raise SingularMatrix("mass-matrix right-hand side beyond the float64 range")
     diagonal = ops.M.diagonal()
     if not diagonal.min() > 0.0:  # a node no triangle uses
         raise SingularMatrix("mass matrix with a diagonal entry not above 0")
@@ -417,7 +421,7 @@ def chemical_potential_for(mesh, alpha, cfg, pot):
 
 @dataclass
 class SimulationResult:
-    """Trajectory of diagnostics plus optional state snapshots."""
+    """Diagnostic records plus snapshots: geometry and state, no solver caches."""
 
     records: list
     final_mesh: object
@@ -442,9 +446,9 @@ def run_simulation(cfg, mesh, alpha0, pot, *, snapshot_every=0):
 
     Advances the mesh with the surface's exact node motion before every
     step, records energy/mass/area diagnostics per step, and keeps
-    ``(mesh, state)`` snapshots every ``snapshot_every`` steps when that
-    cadence is positive.  Where each step has one solution, Newton starts
-    from ``_extrapolate`` of the last ``LEVELS`` time levels.
+    snapshots (geometry and state, no solver caches) every ``snapshot_every``
+    steps when that cadence is positive.  Where each step has one solution,
+    Newton starts from ``_extrapolate`` of the last ``LEVELS`` time levels.
     """
     cfg.validate()
     n_steps = cfg.step_count()
@@ -465,24 +469,24 @@ def run_simulation(cfg, mesh, alpha0, pot, *, snapshot_every=0):
     t0 = mesh.current_time
     state = PhaseState(alpha0, chemical_potential_for(mesh, alpha0, cfg, pot),
                        time=t0, step=0)
-    levels = [state]  # the last LEVELS time levels, newest first
-    records = [_record(mesh, state, cfg, pot)]
-    snapshots = [(mesh, state)] if snapshot_every > 0 else []
+    levels, records, snapshots = [], [], []  # levels: newest first
 
-    for n in range(1, n_steps + 1):
-        guess = _extrapolate(levels) if unique else None
-        try:
-            mesh_next = advance_mesh(mesh, t0 + n * cfg.tau)
-            state = stepper(mesh, mesh_next, state, cfg, pot,
-                            initial_guess=guess, context=context)
-        except EscherError as exc:  # args hold one message by construction
-            exc.args = (f"step {n} (t={t0 + n * cfg.tau:g}): {exc}",)
-            raise
-        mesh = mesh_next
+    for n in range(n_steps + 1):  # time level n; step n leads to it from n - 1
+        if n > 0:
+            guess = _extrapolate(levels) if unique else None
+            try:
+                mesh_prev, mesh = mesh, advance_mesh(mesh, t0 + n * cfg.tau)
+                state = stepper(mesh_prev, mesh, state, cfg, pot,
+                                initial_guess=guess, context=context)
+            except EscherError as exc:  # args hold one message by construction
+                exc.args = (f"step {n} (t={t0 + n * cfg.tau:g}): {exc}",)
+                raise
         levels = [state, *levels[:LEVELS - 1]]
         records.append(_record(mesh, state, cfg, pot))
         if snapshot_every > 0 and n % snapshot_every == 0:
-            snapshots.append((mesh, state))
+            bare = SurfaceMesh(mesh.nodes, mesh.triangles, mesh.surface,
+                               mesh.current_time, mesh.parent_map)  # no caches
+            snapshots.append((bare, state))
 
     return SimulationResult(records=records, final_mesh=mesh,
                             final_state=state, snapshots=snapshots)

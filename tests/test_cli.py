@@ -281,6 +281,31 @@ def test_beyond_float32_exit_code(tmp_path, capsys, setting):
     assert not out.exists()
 
 
+def test_beyond_float64_initial_potential_exit_code(tmp_path, capsys):
+    # a valid eps whose 1/eps overflows the initial chemical potential's
+    # right-hand side: a typed error naming the range, not a Jacobi-PCG miss
+    text = """
+surface.kind = constant_area_torus
+mesh.n_major = 12
+mesh.n_minor = 16
+eps = 5e-324
+tau = 1e-4
+T = 2e-4
+scheme = imex
+initial = constant
+initial.value = 1e-3
+output.dir = {out}
+"""
+    cfg, out = write_config(tmp_path, text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main_within_wall(["run", str(cfg)]) == 3
+    assert not caught
+    err = capsys.readouterr().err
+    assert "float64 range" in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_theta_square_underflow_runs(tmp_path):
     # theta^2 underflows to 0: no uniqueness bound, as for theta = 0
     text = SMOKE_RUN.replace("static_sphere", "oscillating_sphere")

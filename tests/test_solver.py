@@ -1346,6 +1346,26 @@ class TestRunSimulation:
         result = run_simulation(cfg, sphere_mesh, alpha, pot, snapshot_every=5)
         assert [s.step for _, s in result.snapshots] == [0, 5, 10]
 
+    def test_snapshots_keep_no_solver_cache(self, sphere_mesh, pot, monkeypatch):
+        stepped = [sphere_mesh]  # the mesh of each time level, as stepped
+
+        def advance_spy(*args):
+            stepped.append(advance_mesh(*args))
+            return stepped[-1]
+
+        monkeypatch.setattr(solver, "advance_mesh", advance_spy)
+        cfg = SchemeConfig(eps=0.05, tau=1e-4, t_end=5e-4, scheme=IMEX)
+        alpha = initial_data_interpolate(sphere_mesh, sphere_eoc_initial)
+        result = run_simulation(cfg, sphere_mesh, alpha, pot, snapshot_every=1)
+        assert len(result.snapshots) == len(stepped) == 6
+        for (snap, _), mesh in zip(result.snapshots, stepped):
+            assert snap._cache == {} and "operators" in mesh._cache
+            assert np.shares_memory(snap.nodes, mesh.nodes)
+            assert np.shares_memory(snap.triangles, mesh.triangles)
+            assert snap.surface is mesh.surface
+            assert snap.parent_map is mesh.parent_map
+            assert snap.current_time == mesh.current_time
+
     def test_foreign_error_keeps_its_args(self, sphere_mesh, pot):
         def d2f1(u):
             raise KeyError("u")
