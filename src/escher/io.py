@@ -55,7 +55,7 @@ def write_vtk(mesh, arrays, path):
     Each block is one ``%`` format, so the text is ``np.savetxt``'s.  Array
     names must be printable ASCII without whitespace, which readers split."""
     arrays = {name: check_length(mesh, values)
-              for name, values in (arrays or {}).items()}
+              for name, values in arrays.items()}
     for name in arrays:
         if not re.fullmatch("[!-~]+", str(name)):
             raise IoError(f"VTK array name {name!r} is not printable ASCII "

@@ -56,7 +56,8 @@ class SurfaceMesh:
     surface : LevelSetSurface
     current_time : float
     parent_map : scipy.sparse.csr_matrix or None
-        Prolongation from the mesh this one was refined from.
+        Prolongation from the mesh this one was refined from; set by
+        ``refine`` and not carried by ``advance_mesh``.
     """
 
     def __init__(self, nodes, triangles, surface, current_time=0.0,
@@ -172,8 +173,7 @@ def advance_mesh(mesh, t1):
     if t1 < mesh.current_time:
         raise ValueError("cannot advance a mesh backwards in time")
     nodes = mesh.surface.move(mesh.nodes, mesh.current_time, t1)
-    out = SurfaceMesh(nodes, mesh.triangles, mesh.surface, t1,
-                      parent_map=mesh.parent_map)
+    out = SurfaceMesh(nodes, mesh.triangles, mesh.surface, t1)
     # connectivity-derived caches stay valid when only nodes move
     pattern = mesh._cache.get("pattern")
     if pattern is not None:

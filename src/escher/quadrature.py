@@ -15,7 +15,6 @@ from .errors import UnsupportedDegree
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    degree: int
     points: np.ndarray   # (nq, 3) barycentric coordinates
     weights: np.ndarray  # (nq,) positive, summing to 1
 
@@ -32,7 +31,7 @@ def _rule_degree4():
     a2, w2 = 0.091576213509771, 0.109951743655322
     pts = np.vstack([_orbit3(a1), _orbit3(a2)])
     wts = np.concatenate([np.full(3, w1), np.full(3, w2)])
-    return QuadratureRule(4, pts, wts / wts.sum())
+    return QuadratureRule(pts, wts / wts.sum())
 
 
 def _rule_degree10():
@@ -47,7 +46,7 @@ def _rule_degree10():
     y = (T * (1.0 - S)).ravel()
     wq = (WS * WT * (1.0 - S)).ravel()
     pts = np.column_stack([1.0 - x - y, x, y])
-    return QuadratureRule(10, pts, wq / wq.sum())
+    return QuadratureRule(pts, wq / wq.sum())
 
 
 _RULES = {

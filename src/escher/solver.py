@@ -442,7 +442,7 @@ def _record(mesh, state, cfg, pot):
 
 
 def run_simulation(cfg, mesh, alpha0, pot, *, snapshot_every=0):
-    """March the configured scheme from the mesh's current time to t_end.
+    """March the configured scheme from the mesh's time t0 to t0 + t_end.
 
     Advances the mesh with the surface's exact node motion before every
     step, records energy/mass/area diagnostics per step, and keeps
@@ -485,7 +485,7 @@ def run_simulation(cfg, mesh, alpha0, pot, *, snapshot_every=0):
         records.append(_record(mesh, state, cfg, pot))
         if snapshot_every > 0 and n % snapshot_every == 0:
             bare = SurfaceMesh(mesh.nodes, mesh.triangles, mesh.surface,
-                               mesh.current_time, mesh.parent_map)  # no caches
+                               mesh.current_time)  # no caches
             snapshots.append((bare, state))
 
     return SimulationResult(records=records, final_mesh=mesh,

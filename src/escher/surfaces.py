@@ -25,22 +25,10 @@ ON_SURFACE_TOL = 1e-10  # largest |phi(x, t)| / |x|^2 taken as on the surface
 
 
 class LevelSetSurface:
-    """Base class: a level set plus the chart that projects and moves points."""
-
-    kind = "abstract"
-    family = "abstract"
-
-    def value(self, x, t):
-        """Level-set value phi(x, t); vectorised over leading axes of x."""
-        raise NotImplementedError
-
-    def _coords(self, x, t):
-        """Coordinates of x that the exact motion keeps fixed."""
-        raise NotImplementedError
-
-    def _emit(self, coords, t):
-        """The surface point at time t with the given coordinates."""
-        raise NotImplementedError
+    """Base class: a level set plus the chart that projects and moves points.
+    A subclass sets ``kind`` and ``family`` and defines ``value(x, t)``, phi,
+    and the chart ``_coords``/``_emit``; the family bases reduce all three to
+    ``_radius_sq(t)``, R(t)^2, or ``_radii(t)``, (R(t), r(t))."""
 
     def check_on_surface(self, x, t):
         """Raise OffSurface unless |phi(x, t)| <= ON_SURFACE_TOL |x|^2 at every
@@ -72,9 +60,6 @@ class _SphereBase(LevelSetSurface):
     """
 
     family = "sphere"
-
-    def _radius_sq(self, t):
-        raise NotImplementedError
 
     def value(self, x, t):
         x = np.asarray(x, dtype=float)
@@ -127,10 +112,6 @@ class _TorusBase(LevelSetSurface):
     """
 
     family = "torus"
-
-    def _radii(self, t):
-        """Return (R(t), r(t))."""
-        raise NotImplementedError
 
     def value(self, x, t):
         x = np.asarray(x, dtype=float)

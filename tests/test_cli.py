@@ -209,6 +209,13 @@ def test_non_utf8_config_exit_code(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_config_with_byte_order_mark_runs(tmp_path):
+    cfg, out = write_config(tmp_path, SMOKE_RUN)
+    cfg.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
+    assert main(["run", str(cfg)]) == 0
+    assert (out / "diagnostics.csv").is_file()
+
+
 def test_eoc_needs_sphere(tmp_path):
     cfg, _ = write_config(tmp_path, TORUS_RUN)
     assert main(["eoc", str(cfg), "--levels", "2"]) == 2

@@ -1346,6 +1346,17 @@ class TestRunSimulation:
         result = run_simulation(cfg, sphere_mesh, alpha, pot, snapshot_every=5)
         assert [s.step for _, s in result.snapshots] == [0, 5, 10]
 
+    def test_march_from_a_later_time(self, sphere_mesh, pot):
+        # t_end is the span marched, not the final time: t_end / tau steps
+        # from t0 end at t0 + t_end
+        mesh = advance_mesh(sphere_mesh, 0.05)
+        cfg = SchemeConfig(eps=0.05, tau=0.01, t_end=0.03, scheme=IMEX)
+        alpha = initial_data_interpolate(mesh, sphere_eoc_initial)
+        result = run_simulation(cfg, mesh, alpha, pot)
+        assert [r.time for r in result.records] == pytest.approx(
+            [0.05, 0.06, 0.07, 0.08], rel=1e-12)
+        assert result.final_mesh.current_time == pytest.approx(0.08, rel=1e-12)
+
     def test_snapshots_keep_no_solver_cache(self, sphere_mesh, pot, monkeypatch):
         stepped = [sphere_mesh]  # the mesh of each time level, as stepped
 

@@ -54,6 +54,32 @@ def test_shared_reference_with_too_few_levels(tiny_study):
         eoc_study(cfg, surface, pot, sphere_eoc_initial, 1, 2, reference=ref)
 
 
+@pytest.mark.parametrize("change, kind_surface, base", [
+    ({}, StaticSphere(), 0),
+    ({}, None, 1),
+    ({"tau": 0.025}, None, 0),
+    # one step to T = 0.05 gives level 2 the study's tau, 0.05 / 16
+    ({"tau": 0.05, "t_end": 0.05}, None, 0),
+], ids=["surface-kind", "base-mesh", "tau", "T"])
+def test_shared_reference_must_match_the_study(tiny_study, change,
+                                               kind_surface, base):
+    cfg, surface, pot = tiny_study
+    ref = compute_reference(dataclasses.replace(cfg, **change),
+                            kind_surface or surface, pot, sphere_eoc_initial,
+                            base, 2)
+    with pytest.raises(ValidationError, match="^reference: "):
+        eoc_study(cfg, surface, pot, sphere_eoc_initial, 0, 2, reference=ref)
+
+
+def test_deeper_shared_reference(tiny_study):
+    cfg, surface, pot = tiny_study
+    ref = compute_reference(cfg, surface, pot, sphere_eoc_initial, 0, 3)
+    result = eoc_study(cfg, surface, pot, sphere_eoc_initial, 0, 2,
+                       reference=ref)
+    assert result.reference is ref
+    assert all(e > 0 for e in result.table_u.errors + result.table_w.errors)
+
+
 def test_needs_two_levels(tiny_study):
     cfg, surface, pot = tiny_study
     with pytest.raises(ValidationError):
