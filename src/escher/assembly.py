@@ -8,11 +8,13 @@ lengths, which the mesh measures in ``meshing`` read too; A is in cotangent
 form (``AssembledOperators``).
 
 Everything is vectorised over triangles.  Element matrices are symmetric,
-so only their six upper entries (i <= j) are formed; one fixed sparse
-product per connectivity, cached on the mesh, sums them into the CSR data
-of M, A and the Jacobian, each slot in triangle order, so assembled values
-are reproducible bit for bit.  The pattern also carries the fill-reducing
-layout of the 2N x 2N Newton matrix (``BlockLayout``).
+so only their six upper entries (i <= j) are formed, pair-major as (6, nt)
+arrays; one fixed sparse product per connectivity, cached on the mesh, sums
+them into the CSR data of M, A and the Jacobian, each slot in triangle
+order, so assembled values are reproducible bit for bit.  The pattern also
+carries the fill-reducing layout of the 2N x 2N Newton matrix
+(``BlockLayout``); counting passes build both, and their int32 index
+arrays let scipy make CSR matrices on them without scanning.
 """
 
 from dataclasses import dataclass
@@ -20,38 +22,65 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DegenerateTriangle, LengthMismatch
+from .errors import BadConnectivity, DegenerateTriangle, LengthMismatch
 from .quadrature import quadrature_rule
 
 DEGENERACY_TOL = 1e-14
 NONLINEAR_QUAD_DEGREE = 4  # exact for the quartic well composed with P1
 ND_LEAF_SIZE = 16  # nested dissection leaves parts this small unsplit
 _I, _J = np.triu_indices(3)  # the six local pairs (i, j), i <= j
-_PAIR = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])  # local entry 3i + j -> its pair
+_PAIR = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]], dtype=np.int32)  # of (i, j)
+_MASS = (1 + (_I == _J)) / 12  # the consistent mass matrix's entries per |K|
+
+
+def _counting_sort(keys, bins, indptr, data):
+    """Entries, in rows by ``indptr``, grouped stably by their keys in
+    0..bins-1 in one pass of scipy's CSR-to-CSC transposition: their
+    ``data`` in key order, each key's run in row order; their rows; where
+    each run starts."""
+    csc = sp.csr_matrix((data, keys, indptr),
+                        shape=(len(indptr) - 1, bins)).tocsc()
+    return csc.data, csc.indices, csc.indptr
 
 
 class _Pattern:
-    """CSR vertex adjacency plus ``pair_map``, local pairs to its slots."""
+    """CSR vertex adjacency; ``pair_map``, column p * nt + t (pair p of
+    triangle t) to its slots, each slot in triangle order; and ``edges``.
+
+    Two counting passes, no sort: each node's incidences (t, i) in triangle
+    order, then every entry (t, i, j), filed under row v_i in that order,
+    grouped by its column v_j.  The pattern is symmetric and (t, i, j) has
+    the pair of (t, j, i), so the run of column v and row w is slot (v, w)."""
 
     def __init__(self, triangles, node_count):
-        rows = np.repeat(triangles, 3, axis=1).ravel()
-        cols = np.tile(triangles, (1, 3)).ravel()
-        key = rows * node_count + cols
-        order = np.argsort(key, kind="stable")  # each slot in triangle order
-        key = key[order]
-        fresh = np.r_[True, key[1:] != key[:-1]]
-        self.rows, self.indices = np.divmod(key[fresh], node_count)
-        self.indptr = np.r_[0, np.cumsum(np.bincount(self.rows,
-                                                     minlength=node_count))]
-        columns = 6 * (order // 9) + _PAIR[order % 9]  # entry 3i + j of triangle t
+        nt, n = len(triangles), node_count
+        # scipy's C passes below index by vertex unchecked
+        if not 0 <= triangles.min() <= triangles.max() < n:
+            raise BadConnectivity("triangle indices out of range")
+        local = triangles.astype(np.int32)
+        ids, t, starts = _counting_sort(  # ids 3 t + i, by node v_i
+            local.ravel(), n, np.arange(0, 3 * nt + 1, 3, dtype=np.int32),
+            np.arange(3 * nt, dtype=np.int32))
+        pair_columns, cols, ptr = _counting_sort(
+            local[t].ravel(), n, 3 * starts,
+            (_PAIR[ids - 3 * t] * nt + t[:, None]).ravel())
+        # a slot ends where the column changes: no run spans two rows, as
+        # every nonempty row holds its own diagonal and the pattern is symmetric
+        slots = np.flatnonzero(np.r_[True, cols[1:] != cols[:-1], True])
+        self.indices = cols[slots[:-1]]
+        self.indptr = np.searchsorted(slots, ptr).astype(np.int32)
+        self.rows = np.repeat(np.arange(n), np.diff(self.indptr))
         self.pair_map = sp.csr_matrix(
-            (np.ones(len(order)), columns, np.flatnonzero(np.r_[fresh, True])),
-            shape=(len(self.indices), 6 * len(triangles)))
-        self.shape = (node_count, node_count)
+            (np.ones(len(pair_columns)), pair_columns, slots.astype(np.int32)),
+            shape=(len(self.indices), 6 * nt))
+        # the edge e_i = p_prev - p_succ opposite each vertex i, as (2, 3, nt)
+        self.edges = triangles.T[[[2, 0, 1], [1, 2, 0]]]
+        self.shape = (n, n)
         self.layout = None  # BlockLayout, built on first use
 
     def assemble(self, pairs):
-        """The CSR matrix summing the (nt, 6) local entries (i, j) = _I, _J."""
+        """The CSR matrix summing the (6, nt) local entries: pair p of
+        triangle t at [p, t], each slot's sum in triangle order."""
         return sp.csr_matrix((self.pair_map @ pairs.ravel(), self.indices,
                               self.indptr), shape=self.shape)
 
@@ -93,19 +122,29 @@ class BlockLayout:
     dissection rank, each as (beta_i, alpha_i), so every pivot is a mass
     entry.  ``order`` lists the unknowns (alpha 0..N-1, beta N..2N-1) in it;
     ``matrix`` gathers the blocks' data, built only for a factorisation, as
-    BiCGStab applies the blocks in the natural order (``solver._newton``)."""
+    BiCGStab applies the blocks in the natural order (``solver._newton``).
+
+    One counting pass expands the scalar pattern in rank order 2 x 2: slot
+    (v, u) of ranks (k, c) becomes rows 2k, 2k + 1 of columns 2c (M, tau A)
+    and 2c + 1 (C, M), each column's rows in order as filed by k."""
 
     def __init__(self, pattern, nodes):
-        n, rows, cols = pattern.shape[0], pattern.rows, pattern.indices
-        perm = _nested_dissection(nodes, rows, cols)
+        n, nnz = pattern.shape[0], len(pattern.indices)
+        perm = _nested_dissection(nodes, pattern.rows, pattern.indices)
         self.order = np.column_stack([perm + n, perm]).ravel()
-        rank = np.argsort(self.order)
-        r = rank[np.concatenate([rows, rows, rows + n, rows + n])]
-        c = rank[np.concatenate([cols, cols + n, cols, cols + n])]
-        self.gather = np.argsort(c * (2 * n) + r)  # the keys are unique
-        self.indices = r[self.gather].astype(np.int32)
-        self.indptr = np.r_[0, np.cumsum(np.bincount(c, minlength=2 * n))]
-        self.indptr = self.indptr.astype(np.int32)
+        rank = np.empty(n, dtype=np.int32)
+        rank[perm] = np.arange(n, dtype=np.int32)
+        # row k lists the slots (perm[k], w) of the symmetric pattern
+        size = np.diff(pattern.indptr)[perm]
+        starts = np.r_[0, np.cumsum(size)].astype(np.int32)
+        slots = np.arange(nnz) + np.repeat(pattern.indptr[perm] - starts[:-1],
+                                           size)
+        col = 2 * rank[pattern.indices[slots]]
+        self.gather, k, self.indptr = _counting_sort(
+            (col[:, None] + np.array([0, 0, 1, 1], dtype=np.int32)).ravel(),
+            2 * n, 4 * starts, (slots[:, None] + [3 * nnz, nnz, 2 * nnz, 0]).ravel())
+        # a block column takes row k's two entries in filed order: 2k, 2k + 1
+        self.indices = 2 * k + np.tile(np.array([0, 1], dtype=np.int32), 2 * nnz)
 
     def matrix(self, blocks):
         """The block matrix from the four blocks' data arrays."""
@@ -151,9 +190,11 @@ def assemble_operators(mesh):
     contraction."""
     ops = mesh._cache.get("operators")
     if ops is None:
-        x, y, z = (c[mesh.triangles.T] for c in mesh.nodes.T)
-        prev, succ = [2, 0, 1], [1, 2, 0]  # edge opposite vertex i
-        ex, ey, ez = x[prev] - x[succ], y[prev] - y[succ], z[prev] - z[succ]
+        pat = _pattern(mesh)
+        e = np.empty((3, 3, mesh.triangle_count))  # (coordinate, edge i, t)
+        for component, x in zip(e, mesh.nodes.T):
+            np.subtract(*x[pat.edges], out=component)
+        ex, ey, ez = e
         # (p1 - p0) x (p2 - p0) = e1 x e2, twice the area along the normal
         cx = ey[1] * ez[2] - ez[1] * ey[2]
         cy = ez[1] * ex[2] - ex[1] * ez[2]
@@ -164,11 +205,12 @@ def assemble_operators(mesh):
             raise DegenerateTriangle(f"triangle area {areas.min():.3e} "
                                      f"not above {DEGENERACY_TOL:g}")
         # e_i . e_j for the six pairs; A_K divides it by 4 |K| = 2 * doubled
-        dots = (ex[_I] * ex[_J] + ez[_I] * ez[_J]) + ey[_I] * ey[_J]
-        pat = _pattern(mesh)
+        stiffness = np.empty((6, len(areas)))
+        for row, i, j in zip(stiffness, _I, _J):
+            row[:] = (ex[i] * ex[j] + ez[i] * ez[j]) + ey[i] * ey[j]
+        stiffness /= 2.0 * doubled
         ops = AssembledOperators(
-            M=pat.assemble(areas[:, None] * ((1 + (_I == _J)) / 12)),
-            A=pat.assemble((dots / (2.0 * doubled)).T),
+            M=pat.assemble(_MASS[:, None] * areas), A=pat.assemble(stiffness),
             areas=areas, lengths=np.sqrt((ex * ex + ey * ey) + ez * ez))
         mesh._cache["operators"] = ops
     return ops
@@ -213,7 +255,7 @@ def assemble_nonlinear_jacobian(mesh, alpha, pot):
     # sum_q coeff[t,q] * lam[q,i] * lam[q,j], lam the rule's points, as one
     # matmul over the six pairs
     pairs = rule.points[:, _I] * rule.points[:, _J]
-    return _pattern(mesh).assemble(areas[:, None] * (coeff @ pairs))
+    return _pattern(mesh).assemble((pairs.T @ coeff.T) * areas)
 
 
 def integrate_composed(mesh, alpha, func):

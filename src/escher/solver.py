@@ -276,13 +276,17 @@ def _extrapolate(levels):
     smooth, and a level off the trajectory, as x_0 in the initial layer,
     makes every D_k that reaches it large.  Two levels give 2 x_0 - x_1.
     None for one level and for D_1 = 0, whose start is the newest state."""
-    table = np.array([np.concatenate((s.alpha, s.beta)) for s in levels])
-    for k in range(1, len(table)):  # row k becomes D_k
-        table[k:] = table[k - 1:-1] - table[k:]
+    n = levels[0].alpha.size
+    table = np.empty((len(levels), 2 * n))
+    for row, s in zip(table, levels):
+        row[:n], row[n:] = s.alpha, s.beta
+    for k in range(1, len(table)):  # row k becomes D_k, in place from the end
+        for j in range(len(table) - 1, k - 1, -1):
+            np.subtract(table[j - 1], table[j], out=table[j])
     sizes = np.abs(table[1:]).max(axis=1)
     if not sizes[:1].any():  # one level, or D_1 = 0: the ladder's next start
         return None
-    guess, n = table[:2 + int(sizes.argmin())].sum(axis=0), levels[0].alpha.size
+    guess = table[:2 + int(sizes.argmin())].sum(axis=0)
     return guess[:n], guess[n:]
 
 

@@ -92,9 +92,9 @@ def eoc_study(cfg, surface, pot, u0, base_subdivisions, levels, *,
     ``cfg.tau`` is the coarsest level's timestep; each finer level divides
     it by four.  A precomputed ``reference`` may be passed to share the
     expensive fine solve between studies (e.g. between the fully implicit
-    and implicit-explicit variants) if it has this study's surface kind,
-    base mesh, T and the ladder's tau at its top level; without one, the
-    reference runs ``cfg``'s scheme.
+    and implicit-explicit variants) if it has this study's surface (class
+    and parameters), base mesh, T and the ladder's tau at its top level;
+    without one, the reference runs ``cfg``'s scheme.
     """
     _check_levels(levels, base_subdivisions + levels,
                   "mesh.subdivisions + levels")
@@ -107,11 +107,11 @@ def eoc_study(cfg, surface, pot, u0, base_subdivisions, levels, *,
     if len(hierarchy.levels) <= levels:
         raise LevelOutOfRange(f"reference hierarchy stops below level {levels}")
     base, t_ref = hierarchy.levels[0], reference.mesh_final.current_time
-    if (base.surface.kind != surface.kind
+    if ((type(base.surface), vars(base.surface)) != (type(surface), vars(surface))
             or base.node_count != 10 * 4**base_subdivisions + 2
             or reference.tau != _level_tau(cfg, len(hierarchy.levels) - 1)
             or abs(t_ref - cfg.t_end) > 1e-8 * cfg.t_end):
-        raise ValidationError("reference", "computed for another surface kind, "
+        raise ValidationError("reference", "computed for another surface, "
                               "base mesh, tau or T than this study's")
 
     taus = tuple(_level_tau(cfg, lev) for lev in range(levels))

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from escher.assembly import (
+    BlockLayout,
     _Pattern,
     assemble_nonlinear_jacobian,
     assemble_nonlinear_load,
@@ -17,7 +18,7 @@ from escher.assembly import (
     block_layout,
     integrate_composed,
 )
-from escher.errors import DegenerateTriangle
+from escher.errors import BadConnectivity, DegenerateTriangle
 from escher.meshing import (
     SurfaceMesh,
     advance_mesh,
@@ -186,6 +187,15 @@ class TestGeometryOnly:
         mesh = single_triangle([0, 0, 0], [1, 0, 0], [2, 0, 0])
         with pytest.raises(DegenerateTriangle):
             assemble_operators(mesh)
+
+    @pytest.mark.parametrize("vertex", [42, -1])
+    def test_out_of_range_triangle_rejected(self, vertex):
+        # the pattern's counting passes index by vertex, so none may run
+        mesh = build_icosphere(StaticSphere(), 1)  # 42 nodes
+        tris = mesh.triangles.copy()
+        tris[0, 0] = vertex
+        with pytest.raises(BadConnectivity):
+            assemble_operators(SurfaceMesh(mesh.nodes, tris, surface=None))
 
     def test_measures_and_operators_assemble_once(self, monkeypatch):
         # a mesh measure builds the operators; the step's assembly reuses them
@@ -395,21 +405,21 @@ class TestBlockLayout:
         npt.assert_array_equal(pat.rows,
                                np.repeat(np.arange(n), np.diff(pat.indptr)))
         assert self.increasing_within(pat.indptr, pat.indices)
-        # column 6t + p of pair_map is the local pair (i, j) = triu(3)[p] of
-        # triangle t: it reaches the slots of (v_i, v_j) and (v_j, v_i), one
-        # for i = j, with weight 1, and every slot lists its triangles in
+        # column p * nt + t of pair_map is the local pair (i, j) = triu(3)[p]
+        # of triangle t: it reaches the slots of (v_i, v_j) and (v_j, v_i),
+        # one for i = j, with weight 1, and every slot lists its triangles in
         # ascending order
         pm = pat.pair_map
         npt.assert_array_equal(pm.data, 1.0)
         npt.assert_array_equal(np.bincount(pm.indices, minlength=6 * nt),
-                               np.tile([1, 2, 2, 1, 2, 1], nt))
-        t, p = np.divmod(pm.indices, 6)
+                               np.repeat([1, 2, 2, 1, 2, 1], nt))
+        p, t = np.divmod(pm.indices, nt)
         i, j = np.triu_indices(3)
         a, b = mesh.triangles[t, i[p]], mesh.triangles[t, j[p]]
         slot = np.repeat(np.arange(pm.shape[0]), np.diff(pm.indptr))
         r, c = pat.rows[slot], pat.indices[slot]
         assert np.all(((r == a) & (c == b)) | ((r == b) & (c == a)))
-        assert self.increasing_within(pm.indptr, pm.indices)
+        assert self.increasing_within(pm.indptr, t)
 
     @pytest.mark.parametrize("kind", sorted(MESHES))
     def test_matrix_is_canonical_csc(self, kind):
@@ -434,6 +444,101 @@ class TestBlockLayout:
         finer = refine(mesh)
         assert block_layout(finer) is not layout
         assert len(block_layout(finer).order) == 2 * finer.node_count
+
+
+def shuffled_icosphere(subdivisions, seed):
+    """An icosphere with its triangles permuted and the vertices of each
+    cyclically shifted, orientation kept."""
+    mesh = build_icosphere(OscillatingSphere(), subdivisions)
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(mesh.triangle_count)
+    shift = rng.integers(0, 3, size=(mesh.triangle_count, 1))
+    tris = np.take_along_axis(mesh.triangles[perm], (np.arange(3) + shift) % 3,
+                              axis=1)
+    return SurfaceMesh(mesh.nodes, tris, mesh.surface)
+
+
+def argsort_construction(triangles, node_count, perm):
+    """Oracle for the counting passes: the pattern by a stable argsort over
+    the 9 nt keys row * N + column, its pair map triangle-major (column
+    6 t + p, each slot in triangle order), and the block CSC in the node
+    order ``perm`` by an argsort over the 4 nnz keys."""
+    n = node_count
+    key = (np.repeat(triangles, 3, axis=1) * n + np.tile(triangles, 3)).ravel()
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    fresh = np.r_[True, key[1:] != key[:-1]]
+    rows, cols = np.divmod(key[fresh], n)
+    pair = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])
+    pair_map = sp.csr_matrix(
+        (np.ones(len(order)), 6 * (order // 9) + pair[order % 9],
+         np.flatnonzero(np.r_[fresh, True])),
+        shape=(len(cols), 6 * len(triangles)))
+    rank = np.argsort(np.column_stack([perm + n, perm]).ravel())
+    r = rank[np.concatenate([rows, rows, rows + n, rows + n])]
+    c = rank[np.concatenate([cols, cols + n, cols, cols + n])]
+    gather = np.argsort(c * (2 * n) + r)
+    return {"rows": rows, "indices": cols,
+            "indptr": np.r_[0, np.cumsum(np.bincount(rows, minlength=n))],
+            "pair_map": pair_map, "gather": gather, "block_indices": r[gather],
+            "block_indptr": np.r_[0, np.cumsum(np.bincount(c, minlength=2 * n))]}
+
+
+def triangle_major_entries(mesh, alpha, pot):
+    """The (nt, 6) local entries of M, A and J as the triangle-major
+    assembly formed them: coordinates gathered per vertex, then per edge."""
+    x, y, z = (c[mesh.triangles.T] for c in mesh.nodes.T)
+    prev, succ = [2, 0, 1], [1, 2, 0]
+    ex, ey, ez = x[prev] - x[succ], y[prev] - y[succ], z[prev] - z[succ]
+    cx = ey[1] * ez[2] - ez[1] * ey[2]
+    cy = ez[1] * ex[2] - ex[1] * ez[2]
+    cz = ex[1] * ey[2] - ey[1] * ex[2]
+    doubled = np.sqrt((cx * cx + cy * cy) + cz * cz)
+    areas = 0.5 * doubled
+    i, j = np.triu_indices(3)
+    dots = (ex[i] * ex[j] + ez[i] * ez[j]) + ey[i] * ey[j]
+    rule = quadrature_rule(4)
+    coeff = pot.d2f1(alpha[mesh.triangles] @ rule.points.T) * rule.weights
+    pairs = rule.points[:, i] * rule.points[:, j]
+    return (areas[:, None] * ((1 + (i == j)) / 12), (dots / (2.0 * doubled)).T,
+            areas[:, None] * (coeff @ pairs))
+
+
+class TestCountingPasses:
+    """``_Pattern`` and ``BlockLayout`` from counting passes equal the
+    stable-argsort construction they replace, in the same nested-dissection
+    order, and the pair-major product sums M, A and J to the bits of the
+    triangle-major pair map."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(mesh=st.one_of(
+        st.builds(shuffled_icosphere, st.integers(0, 3),
+                  st.integers(0, 2**32 - 1)),
+        st.builds(lambda major, minor: build_torus_mesh(ConstantAreaTorus(),
+                                                        major, minor),
+                  st.integers(3, 20), st.integers(3, 20))),
+        seed=st.integers(0, 2**32 - 1))
+    def test_equals_argsort_construction(self, mesh, seed, pot):
+        n, nt = mesh.node_count, mesh.triangle_count
+        pat = _Pattern(mesh.triangles, n)
+        layout = BlockLayout(pat, mesh.nodes)
+        oracle = argsort_construction(mesh.triangles, n, layout.order[1::2])
+        for name in ("rows", "indices", "indptr"):
+            npt.assert_array_equal(getattr(pat, name), oracle[name])
+        for name in ("gather", "indices", "indptr"):
+            npt.assert_array_equal(getattr(layout, name),
+                                   oracle[name if name == "gather"
+                                          else "block_" + name])
+        # every slot lists the same (triangle, pair) sequence
+        npt.assert_array_equal(pat.pair_map.indptr, oracle["pair_map"].indptr)
+        p, t = np.divmod(pat.pair_map.indices, nt)
+        npt.assert_array_equal(6 * t + p, oracle["pair_map"].indices)
+        alpha = np.random.default_rng(seed).uniform(-1.5, 1.5, n)
+        ops = assemble_operators(mesh)
+        J = assemble_nonlinear_jacobian(mesh, alpha, pot)
+        for X, local in zip((ops.M, ops.A, J),
+                            triangle_major_entries(mesh, alpha, pot)):
+            npt.assert_array_equal(X.data, oracle["pair_map"] @ local.ravel())
 
 
 def test_integrate_composed_constant(icosphere):

@@ -5,15 +5,21 @@ metrics, and ``perfbench/pace.py`` replaces ``solver.advance_mesh`` during
 untraced runs.  A name deleted or moved from the patched module would break
 only a traced benchmark run; this test fails first.  It imports the tracer
 without installing it.  The tracer also reads the ``"operators"`` key of a
-mesh's cache to count operator builds, so that key is checked too.
+mesh's cache to count operator builds, so that key is checked too, and it
+counts Newton iterations and steps by the calls of two patched names, so a
+short run checks that each is called once per iteration or step.
 """
 
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from escher import solver
+from escher.config import sphere_eoc_initial
 from escher.meshing import build_icosphere
-from escher.surfaces import StaticSphere
+from escher.potentials import quartic_potential
+from escher.surfaces import OscillatingSphere, StaticSphere
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -51,3 +57,33 @@ def test_operators_cache_key(monkeypatch):
 
     monkeypatch.setattr(mesh._cache["pattern"], "pair_map", Forbidden())
     assert vars(solver)["assemble_operators"](mesh) is ops
+
+
+@pytest.mark.parametrize("scheme", solver.SCHEMES)
+def test_traced_counts_see_every_iteration_and_step(monkeypatch, scheme):
+    # the tracer takes solver.newton_iters from the calls of
+    # solver.assemble_nonlinear_jacobian and the steps from those of
+    # solver.advance_mesh; an assembly that bypassed either name would read
+    # fewer.  Every step here converges from its first start, so each
+    # Newton iteration makes one linear solve and adds one to newton_iters.
+    calls = {"assemble_nonlinear_jacobian": 0, "advance_mesh": 0}
+    for name in calls:
+        def spy(*args, name=name, original=vars(solver)[name]):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(solver, name, spy)
+    solves, solve = [], solver.LinearContext.solve
+
+    def counting_solve(*args):
+        solves.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(solver.LinearContext, "solve", counting_solve)
+    cfg = solver.SchemeConfig(eps=0.5, tau=0.01, t_end=0.05, scheme=scheme)
+    mesh = build_icosphere(OscillatingSphere(), 2)
+    alpha = solver.initial_data_interpolate(mesh, sphere_eoc_initial)
+    result = solver.run_simulation(cfg, mesh, alpha, quartic_potential())
+    iterations = sum(record.newton_iters for record in result.records)
+    assert iterations >= cfg.step_count()
+    assert calls["assemble_nonlinear_jacobian"] == len(solves) == iterations
+    assert calls["advance_mesh"] == cfg.step_count()

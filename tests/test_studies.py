@@ -56,11 +56,13 @@ def test_shared_reference_with_too_few_levels(tiny_study):
 
 @pytest.mark.parametrize("change, kind_surface, base", [
     ({}, StaticSphere(), 0),
+    # radius 1 at t = 0 like the study's, so its base nodes are the same
+    ({}, OscillatingSphere(omega=1.0), 0),
     ({}, None, 1),
     ({"tau": 0.025}, None, 0),
     # one step to T = 0.05 gives level 2 the study's tau, 0.05 / 16
     ({"tau": 0.05, "t_end": 0.05}, None, 0),
-], ids=["surface-kind", "base-mesh", "tau", "T"])
+], ids=["surface-kind", "surface-parameters", "base-mesh", "tau", "T"])
 def test_shared_reference_must_match_the_study(tiny_study, change,
                                                kind_surface, base):
     cfg, surface, pot = tiny_study
