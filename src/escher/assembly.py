@@ -11,10 +11,10 @@ Everything is vectorised over triangles.  Element matrices are symmetric,
 so only their six upper entries (i <= j) are formed, pair-major as (6, nt)
 arrays; one fixed sparse product per connectivity, cached on the mesh, sums
 them into the CSR data of M, A and the Jacobian, each slot in triangle
-order, so assembled values are reproducible bit for bit.  The pattern also
-carries the fill-reducing layout of the 2N x 2N Newton matrix
-(``BlockLayout``); counting passes build both, and their int32 index
-arrays let scipy make CSR matrices on them without scanning.
+order, so assembled values are reproducible bit for bit.  Counting passes
+build the pattern, and its int32 index arrays let scipy make CSR matrices
+on it without scanning.  The pattern also keeps the fill-reducing order of
+the 2N x 2N Newton matrix's unknowns (``block_order``).
 """
 
 from dataclasses import dataclass
@@ -31,6 +31,14 @@ ND_LEAF_SIZE = 16  # nested dissection leaves parts this small unsplit
 _I, _J = np.triu_indices(3)  # the six local pairs (i, j), i <= j
 _PAIR = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]], dtype=np.int32)  # of (i, j)
 _MASS = (1 + (_I == _J)) / 12  # the consistent mass matrix's entries per |K|
+
+
+def check_triangles(triangles, node_count):
+    """Raise BadConnectivity unless ``triangles`` is nonempty and in range."""
+    if len(triangles) == 0:
+        raise BadConnectivity("no triangles")
+    if not 0 <= triangles.min() <= triangles.max() < node_count:
+        raise BadConnectivity("triangle indices out of range")
 
 
 def _counting_sort(keys, bins, indptr, data):
@@ -55,8 +63,7 @@ class _Pattern:
     def __init__(self, triangles, node_count):
         nt, n = len(triangles), node_count
         # scipy's C passes below index by vertex unchecked
-        if not 0 <= triangles.min() <= triangles.max() < n:
-            raise BadConnectivity("triangle indices out of range")
+        check_triangles(triangles, n)
         local = triangles.astype(np.int32)
         ids, t, starts = _counting_sort(  # ids 3 t + i, by node v_i
             local.ravel(), n, np.arange(0, 3 * nt + 1, 3, dtype=np.int32),
@@ -76,7 +83,7 @@ class _Pattern:
         # the edge e_i = p_prev - p_succ opposite each vertex i, as (2, 3, nt)
         self.edges = triangles.T[[[2, 0, 1], [1, 2, 0]]]
         self.shape = (n, n)
-        self.layout = None  # BlockLayout, built on first use
+        self.order = None  # block_order, built on first use
 
     def assemble(self, pairs):
         """The CSR matrix summing the (6, nt) local entries: pair p of
@@ -116,43 +123,6 @@ def _nested_dissection(nodes, rows, cols):
         live = live[digit[live] != 2]
 
 
-class BlockLayout:
-    """The Newton matrix ``[[M, tau A], [B - J/eps, M]]`` as CSC in an order
-    for sparse LU with little fill and no row interchanges: nodes by nested-
-    dissection rank, each as (beta_i, alpha_i), so every pivot is a mass
-    entry.  ``order`` lists the unknowns (alpha 0..N-1, beta N..2N-1) in it;
-    ``matrix`` gathers the blocks' data, built only for a factorisation, as
-    BiCGStab applies the blocks in the natural order (``solver._newton``).
-
-    One counting pass expands the scalar pattern in rank order 2 x 2: slot
-    (v, u) of ranks (k, c) becomes rows 2k, 2k + 1 of columns 2c (M, tau A)
-    and 2c + 1 (C, M), each column's rows in order as filed by k."""
-
-    def __init__(self, pattern, nodes):
-        n, nnz = pattern.shape[0], len(pattern.indices)
-        perm = _nested_dissection(nodes, pattern.rows, pattern.indices)
-        self.order = np.column_stack([perm + n, perm]).ravel()
-        rank = np.empty(n, dtype=np.int32)
-        rank[perm] = np.arange(n, dtype=np.int32)
-        # row k lists the slots (perm[k], w) of the symmetric pattern
-        size = np.diff(pattern.indptr)[perm]
-        starts = np.r_[0, np.cumsum(size)].astype(np.int32)
-        slots = np.arange(nnz) + np.repeat(pattern.indptr[perm] - starts[:-1],
-                                           size)
-        col = 2 * rank[pattern.indices[slots]]
-        self.gather, k, self.indptr = _counting_sort(
-            (col[:, None] + np.array([0, 0, 1, 1], dtype=np.int32)).ravel(),
-            2 * n, 4 * starts, (slots[:, None] + [3 * nnz, nnz, 2 * nnz, 0]).ravel())
-        # a block column takes row k's two entries in filed order: 2k, 2k + 1
-        self.indices = 2 * k + np.tile(np.array([0, 1], dtype=np.int32), 2 * nnz)
-
-    def matrix(self, blocks):
-        """The block matrix from the four blocks' data arrays."""
-        assert all(4 * len(data) == len(self.gather) for data in blocks)
-        return sp.csc_matrix((np.concatenate(blocks)[self.gather], self.indices,
-                              self.indptr), shape=(len(self.order),) * 2)
-
-
 def _pattern(mesh):
     pat = mesh._cache.get("pattern")
     if pat is None:
@@ -161,12 +131,15 @@ def _pattern(mesh):
     return pat
 
 
-def block_layout(mesh):
-    """The mesh connectivity's BlockLayout, built on first use from its nodes."""
+def block_order(mesh):
+    """The Newton matrix's unknowns (alpha 0..N-1, beta N..2N-1) for sparse LU
+    with little fill and mass-entry pivots: nodes in nested-dissection order,
+    each as (beta_i, alpha_i); built on first use, kept per connectivity."""
     pat = _pattern(mesh)
-    if pat.layout is None:
-        pat.layout = BlockLayout(pat, mesh.nodes)
-    return pat.layout
+    if pat.order is None:
+        perm = _nested_dissection(mesh.nodes, pat.rows, pat.indices)
+        pat.order = np.column_stack([perm + mesh.node_count, perm]).ravel()
+    return pat.order
 
 
 @dataclass(frozen=True)

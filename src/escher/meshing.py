@@ -14,7 +14,7 @@ which the convergence studies use to carry coarse solutions onto finer meshes.
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import assemble_operators
+from .assembly import assemble_operators, check_triangles
 from .errors import (
     BadConnectivity,
     LengthMismatch,
@@ -203,8 +203,7 @@ def validate_mesh(mesh):
     BadConnectivity), nodes on the surface (else OffSurface), no degenerate
     triangles (else DegenerateTriangle)."""
     tris, n = mesh.triangles, mesh.node_count
-    if tris.min() < 0 or tris.max() >= n:
-        raise BadConnectivity("triangle indices out of range")
+    check_triangles(tris, n)
     a, b = np.vstack([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]).T
     keys = np.unique(a * n + b)  # directed edges (a, b)
     if len(keys) != len(a):

@@ -18,7 +18,7 @@ MRS Proc. 529, 1998).  Both schemes build it once per ladder of starts in
 with the exact Jacobian (``_newton``).  Every linearisation is solved by
 BiCGStab on four sparse block products in the natural order, preconditioned
 with one kept single-precision sparse LU factor (``lu_factor``) of the block
-matrix, gathered in the fill-reducing order of ``assembly.BlockLayout`` only
+matrix, built by ``sp.bmat`` and permuted to ``assembly.block_order`` only
 when a factor is made (``LinearContext``).  BiCGStab also stops at a
 residual of ``newton_tol / 2``, which Newton's test cannot see below (Dembo,
 Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982).  The initial chemical
@@ -53,7 +53,7 @@ from .assembly import (
     assemble_nonlinear_jacobian,
     assemble_nonlinear_load,
     assemble_operators,
-    block_layout,
+    block_order,
     check_length,
 )
 from .diagnostics import DiagnosticRecord, discrete_mass, ginzburg_landau_energy
@@ -141,7 +141,7 @@ MASS_CG_MAXITER = 50  # k = 33 reaches 1e-15 on a uniform mesh
 
 def lu_factor(A):
     """Single-precision sparse LU in the given order with threshold diagonal
-    pivoting, for a matrix laid out by ``assembly.BlockLayout``; raises
+    pivoting, for a matrix permuted to ``assembly.block_order``; raises
     SingularMatrix, also for entries beyond float32's range.  The factor is
     a preconditioner: its ``solve`` takes and returns float32 vectors."""
     if not np.abs(A.data).max() <= np.finfo(np.float32).max:  # nan fails too
@@ -162,11 +162,11 @@ class LinearContext:
     larger, with b and the floor scaled exactly by a power of two so |b|^2
     stays finite.  It is preconditioned, through the permutation ``order``,
     with a single-precision LU factor (``lu_factor``) of the matrix that
-    ``gather()`` builds, called only when a factor is made; the float64
-    Krylov residuals recover the digits the factor lacks.  The factor is
-    kept across iterations and timesteps.  Work is counted in applies of
-    it (two per BiCGStab iteration, one for a solve that ends at the
-    half-step).  A kept factor is replaced for the next system after a
+    ``gather()`` builds in that order, called only when a factor is made;
+    the float64 Krylov residuals recover the digits the factor lacks.  The
+    factor is kept across iterations and timesteps.  Work is counted in
+    applies of it (two per BiCGStab iteration, one for a solve that ends at
+    the half-step).  A kept factor is replaced for the next system after a
     solve that takes over ``REFACTOR_MARGIN`` applies more than the first on
     it, and at once, with the solve repeated, when BiCGStab fails within
     ``REUSE_MAX_ITER`` iterations; on a fresh factor that raises
@@ -300,7 +300,7 @@ def _ladder(mesh_prev, mesh_next, state, cfg, pot, theta_new, context,
         G2 = B a + M b - (1/eps) F(a) - rhs2,
 
     and ``linearise``, whose C = B - J/eps replaces B in four CSR products,
-    gathered in ``block_layout``'s order only to factor.  Newton runs on it
+    built by ``sp.bmat`` in ``block_order`` only to factor.  Newton runs on it
     from ``initial_guess`` if given, the previous state, then each rescue (a
     callable returning the guess).  A start fails when its guess or Newton
     from it raises NewtonDivergence or IterativeBreakdown; the last failure
@@ -313,7 +313,7 @@ def _ladder(mesh_prev, mesh_next, state, cfg, pot, theta_new, context,
     rhs2 = ((theta_new - pot.theta) / eps) * m_alpha
     b_data = (-eps) * A.data + (theta_new / eps) * M.data
     b_matrix = sp.csr_matrix((b_data, M.indices, M.indptr), shape=M.shape)
-    layout = block_layout(mesh_next)
+    order = block_order(mesh_next)
 
     def linear(lower, x):  # [M a + tau A b; lower a + M b] at x = [a; b]
         a, b = x[:n], x[n:]
@@ -330,8 +330,8 @@ def _ladder(mesh_prev, mesh_next, state, cfg, pot, theta_new, context,
         lower.data = b_data - lower.data / eps  # C = B - J/eps
         return (spla.LinearOperator((2 * n, 2 * n), lambda v: linear(lower, v),
                                     dtype=float),
-                lambda: layout.matrix((M.data, tau * A.data, lower.data, M.data)),
-                layout.order)
+                lambda: sp.bmat([[M, tau * A], [lower, M]], "csr")[order][:, order],
+                order)
 
     given = [] if initial_guess is None else [lambda: initial_guess]
     for start in given + [lambda: (state.alpha, state.beta), *rescues]:

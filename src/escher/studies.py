@@ -13,6 +13,7 @@ rate as the spatial error.  Studies of both schemes can share one reference
 by passing it explicitly.
 """
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -144,8 +145,10 @@ def interpolation_eoc(surface, base_subdivisions, levels, func,
     pipeline ``eoc_study`` measures through on its own.  ``reference_extra``
     sets how many refinements beyond the finest compared level the
     reference sits; pushing it out shrinks the comparison bias that
-    otherwise inflates the last order entry.
+    otherwise inflates the last order entry; it must be an integer >= 1.
     """
+    if not isinstance(reference_extra, numbers.Integral) or reference_extra < 1:
+        raise ValidationError("reference_extra", "must be an integer >= 1")
     _check_levels(levels, base_subdivisions + levels - 1 + reference_extra,
                   "base_subdivisions + levels - 1 + reference_extra")
     base = build_icosphere(surface, base_subdivisions)

@@ -2,20 +2,23 @@
 spectral structure, over-integration / finite-difference oracles for the
 nonlinear terms, and the layout of the Newton block matrix."""
 
+from unittest import mock
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from escher import solver
 from escher.assembly import (
-    BlockLayout,
     _Pattern,
     assemble_nonlinear_jacobian,
     assemble_nonlinear_load,
     assemble_operators,
-    block_layout,
+    block_order,
     integrate_composed,
 )
 from escher.errors import BadConnectivity, DegenerateTriangle
@@ -31,6 +34,7 @@ from escher.meshing import (
 )
 from escher.potentials import quartic_potential
 from escher.quadrature import quadrature_rule
+from escher.solver import LinearContext, PhaseState, SchemeConfig, lu_factor
 from escher.surfaces import ConstantAreaTorus, OscillatingSphere, StaticSphere
 
 
@@ -188,12 +192,16 @@ class TestGeometryOnly:
         with pytest.raises(DegenerateTriangle):
             assemble_operators(mesh)
 
-    @pytest.mark.parametrize("vertex", [42, -1])
+    @pytest.mark.parametrize("vertex", [42, -1, None])
     def test_out_of_range_triangle_rejected(self, vertex):
-        # the pattern's counting passes index by vertex, so none may run
+        # the pattern's counting passes index by vertex, so none may run;
+        # None: no triangles, whose least index does not exist
         mesh = build_icosphere(StaticSphere(), 1)  # 42 nodes
         tris = mesh.triangles.copy()
-        tris[0, 0] = vertex
+        if vertex is None:
+            tris = tris[:0]
+        else:
+            tris[0, 0] = vertex
         with pytest.raises(BadConnectivity):
             assemble_operators(SurfaceMesh(mesh.nodes, tris, surface=None))
 
@@ -355,8 +363,26 @@ class TestComponentwiseGeometry:
         assert np.all(np.abs(local - old) <= 4e-15 * scale)
 
 
+def ladder_linearisation(mesh, theta, x, pot, eps=0.05, tau=1e-4):
+    """The (operator, gather, order) that ``solver._ladder`` hands Newton
+    for a step onto ``mesh`` with ``theta_new = theta``, linearised at
+    x = [alpha; beta]."""
+    captured, n = [], mesh.node_count
+
+    def newton(residual, linearise, guess, cfg, context):
+        captured.append(linearise(x))
+        return x, 0
+
+    cfg = SchemeConfig(eps=eps, tau=tau, t_end=tau)
+    with mock.patch.object(solver, "_newton", newton):
+        solver._ladder(mesh, mesh, PhaseState(x[:n], x[n:]), cfg, pot, theta,
+                       LinearContext(), None)
+    return captured[0]
+
+
 class TestBlockLayout:
-    """The Newton block matrix gathered straight into factor order."""
+    """The Newton block matrix: its unknowns in ``block_order``, kept per
+    connectivity, and the matrix ``_ladder`` builds in that order to factor."""
 
     MESHES = {
         "sphere": lambda: build_icosphere(OscillatingSphere(), 2),
@@ -365,28 +391,39 @@ class TestBlockLayout:
 
     @pytest.mark.parametrize("theta", [1.0, 0.0], ids=["fully_implicit", "imex"])
     @pytest.mark.parametrize("kind", sorted(MESHES))
-    def test_gather_equals_permuted_block_matrix(self, kind, theta, pot):
+    def test_gather_equals_permuted_block_matrix(self, kind, theta, pot,
+                                                 monkeypatch):
         mesh = self.MESHES[kind]()
-        eps, tau = 0.05, 1e-4
+        n, eps, tau = mesh.node_count, 0.05, 1e-4
+        x = np.random.default_rng(5).uniform(-1, 1, 2 * n)
+        operator, gather, order = ladder_linearisation(mesh, theta, x, pot,
+                                                       eps, tau)
+        handed = []
+
+        def factoring(matrix):
+            handed.append(matrix)
+            return lu_factor(matrix)
+
+        monkeypatch.setattr(solver, "lu_factor", factoring)
+        LinearContext().solve(operator, gather, order, operator @ np.ones(2 * n))
         ops = assemble_operators(mesh)
-        alpha = np.random.default_rng(5).uniform(-1, 1, mesh.node_count)
-        J = assemble_nonlinear_jacobian(mesh, alpha, pot)
+        J = assemble_nonlinear_jacobian(mesh, x[:n], pot)
         b = (-eps) * ops.A.data + (theta / eps) * ops.M.data
-        layout = block_layout(mesh)
-        gathered = layout.matrix((ops.M.data, tau * ops.A.data,
-                                  b - J.data / eps, ops.M.data))
         B = sp.csr_matrix((b, ops.A.indices, ops.A.indptr), shape=ops.A.shape)
         dense = np.block([[ops.M.toarray(), tau * ops.A.toarray()],
                           [B.toarray() - J.toarray() / eps, ops.M.toarray()]])
-        npt.assert_array_equal(gathered.toarray(),
-                               dense[np.ix_(layout.order, layout.order)])
-        assert gathered.nnz == 4 * len(ops.M.data)
+        (matrix,) = handed
+        npt.assert_array_equal(matrix.toarray(), dense[np.ix_(order, order)])
+        assert matrix.nnz == 4 * len(ops.M.data)
+        # every pivot is a mass entry: (beta_i, beta_i), then (alpha_i, alpha_i)
+        npt.assert_array_equal(matrix.diagonal(),
+                               np.repeat(ops.M.diagonal()[order[1::2]], 2))
 
     @pytest.mark.parametrize("kind", sorted(MESHES))
     def test_order_is_a_permutation_of_node_pairs(self, kind):
         mesh = self.MESHES[kind]()
         n = mesh.node_count
-        order = block_layout(mesh).order
+        order = block_order(mesh)
         npt.assert_array_equal(np.sort(order), np.arange(2 * n))
         npt.assert_array_equal(order[0::2], order[1::2] + n)  # beta first
 
@@ -422,28 +459,33 @@ class TestBlockLayout:
         assert self.increasing_within(pm.indptr, t)
 
     @pytest.mark.parametrize("kind", sorted(MESHES))
-    def test_matrix_is_canonical_csc(self, kind):
-        # sorted, duplicate-free row indices in every column: dense equality
-        # alone passes any order
+    def test_matrix_is_canonical_csc(self, kind, pot, monkeypatch):
+        # sorted, duplicate-free row indices in every column of the float32
+        # CSC that SuperLU factors: dense equality alone passes any order
         mesh = self.MESHES[kind]()
-        ops = assemble_operators(mesh)
-        matrix = block_layout(mesh).matrix((ops.M.data,) * 4)
-        assert matrix.indptr[-1] == len(matrix.indices) == 4 * len(ops.M.data)
-        assert self.increasing_within(matrix.indptr, matrix.indices)
+        x = np.random.default_rng(6).uniform(-1, 1, 2 * mesh.node_count)
+        _, gather, _ = ladder_linearisation(mesh, 1.0, x, pot)
+        factored, splu = [], spla.splu
 
-    def test_data_off_the_pattern_rejected(self, icosphere):
-        ops = assemble_operators(icosphere)
-        with pytest.raises(AssertionError):
-            block_layout(icosphere).matrix((ops.M.data, ops.A.data,
-                                            ops.M.data[:-1], ops.M.data))
+        def recording(A, **kwargs):
+            factored.append(A)
+            return splu(A, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", recording)
+        lu_factor(gather())
+        (matrix,) = factored
+        assert matrix.format == "csc" and matrix.dtype == np.float32
+        nnz = 4 * len(assemble_operators(mesh).M.data)
+        assert matrix.indptr[-1] == len(matrix.indices) == nnz
+        assert self.increasing_within(matrix.indptr, matrix.indices)
 
     def test_advanced_mesh_shares_the_layout_refined_mesh_does_not(self):
         mesh = build_icosphere(OscillatingSphere(), 1)
-        layout = block_layout(mesh)
-        assert block_layout(advance_mesh(mesh, 0.01)) is layout
+        order = block_order(mesh)
+        assert block_order(advance_mesh(mesh, 0.01)) is order
         finer = refine(mesh)
-        assert block_layout(finer) is not layout
-        assert len(block_layout(finer).order) == 2 * finer.node_count
+        assert block_order(finer) is not order
+        assert len(block_order(finer)) == 2 * finer.node_count
 
 
 def shuffled_icosphere(subdivisions, seed):
@@ -458,11 +500,10 @@ def shuffled_icosphere(subdivisions, seed):
     return SurfaceMesh(mesh.nodes, tris, mesh.surface)
 
 
-def argsort_construction(triangles, node_count, perm):
+def argsort_construction(triangles, node_count):
     """Oracle for the counting passes: the pattern by a stable argsort over
-    the 9 nt keys row * N + column, its pair map triangle-major (column
-    6 t + p, each slot in triangle order), and the block CSC in the node
-    order ``perm`` by an argsort over the 4 nnz keys."""
+    the 9 nt keys row * N + column, and its pair map triangle-major (column
+    6 t + p, each slot in triangle order)."""
     n = node_count
     key = (np.repeat(triangles, 3, axis=1) * n + np.tile(triangles, 3)).ravel()
     order = np.argsort(key, kind="stable")
@@ -474,14 +515,9 @@ def argsort_construction(triangles, node_count, perm):
         (np.ones(len(order)), 6 * (order // 9) + pair[order % 9],
          np.flatnonzero(np.r_[fresh, True])),
         shape=(len(cols), 6 * len(triangles)))
-    rank = np.argsort(np.column_stack([perm + n, perm]).ravel())
-    r = rank[np.concatenate([rows, rows, rows + n, rows + n])]
-    c = rank[np.concatenate([cols, cols + n, cols, cols + n])]
-    gather = np.argsort(c * (2 * n) + r)
     return {"rows": rows, "indices": cols,
             "indptr": np.r_[0, np.cumsum(np.bincount(rows, minlength=n))],
-            "pair_map": pair_map, "gather": gather, "block_indices": r[gather],
-            "block_indptr": np.r_[0, np.cumsum(np.bincount(c, minlength=2 * n))]}
+            "pair_map": pair_map}
 
 
 def triangle_major_entries(mesh, alpha, pot):
@@ -505,10 +541,9 @@ def triangle_major_entries(mesh, alpha, pot):
 
 
 class TestCountingPasses:
-    """``_Pattern`` and ``BlockLayout`` from counting passes equal the
-    stable-argsort construction they replace, in the same nested-dissection
-    order, and the pair-major product sums M, A and J to the bits of the
-    triangle-major pair map."""
+    """``_Pattern`` from counting passes equals the stable-argsort
+    construction it replaces, and the pair-major product sums M, A and J to
+    the bits of the triangle-major pair map."""
 
     @settings(max_examples=15, deadline=None)
     @given(mesh=st.one_of(
@@ -521,14 +556,9 @@ class TestCountingPasses:
     def test_equals_argsort_construction(self, mesh, seed, pot):
         n, nt = mesh.node_count, mesh.triangle_count
         pat = _Pattern(mesh.triangles, n)
-        layout = BlockLayout(pat, mesh.nodes)
-        oracle = argsort_construction(mesh.triangles, n, layout.order[1::2])
+        oracle = argsort_construction(mesh.triangles, n)
         for name in ("rows", "indices", "indptr"):
             npt.assert_array_equal(getattr(pat, name), oracle[name])
-        for name in ("gather", "indices", "indptr"):
-            npt.assert_array_equal(getattr(layout, name),
-                                   oracle[name if name == "gather"
-                                          else "block_" + name])
         # every slot lists the same (triangle, pair) sequence
         npt.assert_array_equal(pat.pair_map.indptr, oracle["pair_map"].indptr)
         p, t = np.divmod(pat.pair_map.indices, nt)

@@ -7,13 +7,16 @@ only a traced benchmark run; this test fails first.  It imports the tracer
 without installing it.  The tracer also reads the ``"operators"`` key of a
 mesh's cache to count operator builds, so that key is checked too, and it
 counts Newton iterations and steps by the calls of two patched names, so a
-short run checks that each is called once per iteration or step.
+short run checks that each is called once per iteration or step.  It times
+the block-matrix build by the calls of ``scipy.sparse.bmat``, so a short run
+of each scheme checks that the name is looked up once per factorisation.
 """
 
 import importlib.util
 from pathlib import Path
 
 import pytest
+import scipy.sparse as sp
 
 from escher import solver
 from escher.config import sphere_eoc_initial
@@ -87,3 +90,20 @@ def test_traced_counts_see_every_iteration_and_step(monkeypatch, scheme):
     assert iterations >= cfg.step_count()
     assert calls["assemble_nonlinear_jacobian"] == len(solves) == iterations
     assert calls["advance_mesh"] == cfg.step_count()
+
+
+@pytest.mark.parametrize("scheme", solver.SCHEMES)
+def test_block_build_is_one_bmat_per_factor(monkeypatch, scheme):
+    # solver.block_build_* wraps scipy.sparse.bmat; a build that went round
+    # the name would read 0 again, as it did before the build called it
+    calls = {"bmat": 0, "lu_factor": 0}
+    for owner, name in ((sp, "bmat"), (solver, "lu_factor")):
+        def spy(*args, name=name, original=vars(owner)[name], **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, spy)
+    cfg = solver.SchemeConfig(eps=0.5, tau=0.01, t_end=0.05, scheme=scheme)
+    mesh = build_icosphere(OscillatingSphere(), 2)
+    alpha = solver.initial_data_interpolate(mesh, sphere_eoc_initial)
+    solver.run_simulation(cfg, mesh, alpha, quartic_potential())
+    assert calls["bmat"] == calls["lu_factor"] >= 1

@@ -205,6 +205,8 @@ def broken_icosphere(fault):
         tris[0] = tris[0, ::-1]  # one triangle against the orientation
     elif fault == "open_edge":
         tris = tris[1:]
+    elif fault == "no_triangles":
+        tris = tris[:0]
     elif fault == "repeated_vertex":  # each directed edge once, reverses too
         ring = tris[(tris == 0).any(axis=1)]
         far = np.setdiff1d(np.arange(m.node_count), ring)[0]
@@ -221,6 +223,7 @@ def broken_icosphere(fault):
 class TestValidate:
     @pytest.mark.parametrize("fault, error, match", [
         ("index_out_of_range", BadConnectivity, "out of range"),
+        ("no_triangles", BadConnectivity, "no triangles"),
         ("repeated_directed_edge", BadConnectivity, "repeated directed edge"),
         ("open_edge", BadConnectivity, "not shared by exactly 2"),
         ("repeated_vertex", BadConnectivity, "not shared by exactly 2"),

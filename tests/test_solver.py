@@ -19,11 +19,10 @@ from hypothesis import strategies as st
 
 from escher import solver
 from escher.assembly import (
-    BlockLayout,
     assemble_nonlinear_jacobian,
     assemble_nonlinear_load,
     assemble_operators,
-    block_layout,
+    block_order,
     integrate_composed,
 )
 from escher.config import sphere_eoc_initial, torus_initial
@@ -99,7 +98,7 @@ def solve_in_order(context, matrix, b, floor=0.0):
 
 class TestLinearContext:
     """The Newton linear solver: BiCGStab preconditioned with one float32 LU
-    factor in the block layout's order, reused until it goes stale."""
+    factor in ``block_order``, reused until it goes stale."""
 
     @pytest.fixture
     def factor_calls(self, monkeypatch):
@@ -135,8 +134,10 @@ class TestLinearContext:
         b = -eps * ops.A.data + (theta / eps) * ops.M.data
         if jac is not None:
             b = b - jac.data / eps
-        return block_layout(mesh).matrix((ops.M.data, tau * ops.A.data, b,
-                                          ops.M.data))
+        C = sp.csr_matrix((b, ops.M.indices, ops.M.indptr), shape=ops.M.shape)
+        order = block_order(mesh)
+        return sp.bmat([[ops.M, tau * ops.A], [C, ops.M]],
+                       format="csr")[order][:, order]
 
     @pytest.fixture(scope="class")
     def reference_newton_matrix(self, pot):
@@ -338,7 +339,7 @@ class TestLinearContext:
         assert matrix.shape == (2 * 642, 2 * 642)
         factor = lu_factor(matrix)
         npt.assert_array_equal(factor.perm_r, np.arange(matrix.shape[0]))
-        assert factor.nnz < spla.splu(matrix, permc_spec="COLAMD").nnz
+        assert factor.nnz < spla.splu(matrix.tocsc(), permc_spec="COLAMD").nnz
 
     def test_fresh_factor_solve_is_accurate(self, reference_newton_matrix,
                                             factor_calls):
@@ -365,8 +366,8 @@ class TestLinearContext:
     def test_natural_order_operator_with_permutation(self, mesh642, pot,
                                                      factor_calls):
         # as _ladder solves: BiCGStab on four CSR products in the natural
-        # order, preconditioned through the layout's permutation by a factor
-        # of the gathered matrix, which is built once
+        # order, preconditioned through block_order's permutation by a factor
+        # of the permuted matrix, which is built once
         eps, tau = 0.05, 1e-4
         ops = assemble_operators(mesh642)
         alpha = initial_data_interpolate(mesh642, sphere_eoc_initial)
@@ -379,34 +380,33 @@ class TestLinearContext:
         operator = spla.LinearOperator(natural.shape, dtype=float, matvec=(
             lambda v: np.concatenate([ops.M @ v[:n] + tau * (ops.A @ v[n:]),
                                       C @ v[:n] + ops.M @ v[n:]])))
-        layout = block_layout(mesh642)
+        order = block_order(mesh642)
         gathers = []
 
         def gather():
-            gathers.append(layout.matrix((ops.M.data, tau * ops.A.data,
-                                          c_data, ops.M.data)))
+            gathers.append(natural[order][:, order])
             return gathers[-1]
 
         context = LinearContext()
         rng = np.random.default_rng(13)
         for _ in range(3):
             b = rng.normal(size=2 * n)
-            x = context.solve(operator, gather, layout.order, b)
+            x = context.solve(operator, gather, order, b)
             assert self.relative_residual(natural, x, b) <= LinearContext.RTOL
         assert len(factor_calls) == len(gathers) == 1
         npt.assert_array_equal(
             gathers[0].toarray(),
-            natural.toarray()[np.ix_(layout.order, layout.order)])
+            natural.toarray()[np.ix_(order, order)])
 
     def test_run_gathers_only_to_factor(self, sphere_mesh, pot, monkeypatch):
         # over a fully implicit run that refactors, every Newton matrix is
-        # gathered right before it is factored, and at no other time
+        # built by sp.bmat right before it is factored, and at no other time
         events = []
-        matrix, solve = BlockLayout.matrix, LinearContext.solve
+        bmat, solve = sp.bmat, LinearContext.solve
 
-        def gathering(layout, blocks):
+        def gathering(*args, **kwargs):
             events.append("gather")
-            return matrix(layout, blocks)
+            return bmat(*args, **kwargs)
 
         def factoring(A):
             events.append("factor")
@@ -416,7 +416,7 @@ class TestLinearContext:
             events.append("solve")
             return solve(*args)
 
-        monkeypatch.setattr(BlockLayout, "matrix", gathering)
+        monkeypatch.setattr(sp, "bmat", gathering)
         monkeypatch.setattr(solver, "lu_factor", factoring)
         monkeypatch.setattr(LinearContext, "solve", solving)
         cfg = SchemeConfig(eps=0.1, tau=1e-3, t_end=0.02)
@@ -711,23 +711,23 @@ class TestPreviousStateRetry:
         mesh, state = start
         mesh_next = advance_mesh(mesh, self.CFG.tau)
         far = np.full(mesh.node_count, 1e8)
-        calls, ladder, layout = [], solver._ladder, solver.block_layout
+        calls, ladder, order = [], solver._ladder, solver.block_order
 
         def ladder_spy(*args, **kwargs):
             calls.append("ladder")
             return ladder(*args, **kwargs)
 
-        def layout_spy(*args, **kwargs):
-            calls.append("layout")
-            return layout(*args, **kwargs)
+        def order_spy(*args, **kwargs):
+            calls.append("order")
+            return order(*args, **kwargs)
 
         monkeypatch.setattr(solver, "_ladder", ladder_spy)
-        monkeypatch.setattr(solver, "block_layout", layout_spy)
+        monkeypatch.setattr(solver, "block_order", order_spy)
         _, outcomes = self.step_recording(stepper, mesh, mesh_next, state,
                                           self.CFG, pot,
                                           initial_guess=(far, far))
         assert outcomes == [IterativeBreakdown, None]
-        assert calls == ["ladder", "layout"]
+        assert calls == ["ladder", "order"]
 
     @pytest.mark.parametrize("stepper", [step_fully_implicit, step_imex])
     def test_after_divergence(self, start, pot, stepper):

@@ -88,14 +88,8 @@ def test_needs_two_levels(tiny_study):
         eoc_study(cfg, surface, pot, sphere_eoc_initial, 1, 1)
 
 
-@pytest.mark.parametrize("levels, reference_extra, message", [
-    (1, 1, "need at least 2"),
-    (60, 1, "must be <= 8"),
-    (4, 5, "must be <= 8"),  # 1 + 4 - 1 + 5 = 9 subdivisions
-])
-def test_interpolation_levels_rule(monkeypatch, levels, reference_extra,
-                                   message):
-    # the rule eoc_study checks, before any mesh is built
+@pytest.fixture
+def no_mesh_built(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a mesh was built")
 
@@ -103,8 +97,27 @@ def test_interpolation_levels_rule(monkeypatch, levels, reference_extra,
         for name in ("build_icosphere", "refine"):
             if name in vars(owner):
                 monkeypatch.setattr(owner, name, refuse)
+
+
+@pytest.mark.parametrize("levels, reference_extra, message", [
+    (1, 1, "need at least 2"),
+    (60, 1, "must be <= 8"),
+    (4, 5, "must be <= 8"),  # 1 + 4 - 1 + 5 = 9 subdivisions
+])
+def test_interpolation_levels_rule(no_mesh_built, levels, reference_extra,
+                                   message):
+    # the rule eoc_study checks, before any mesh is built
     with pytest.raises(ValidationError, match=f"^levels: .*{message}"):
         interpolation_eoc(StaticSphere(), 1, levels, np.sin,
+                          reference_extra=reference_extra)
+
+
+@pytest.mark.parametrize("reference_extra", [0, -1, 1.5])
+def test_interpolation_reference_extra_rule(no_mesh_built, reference_extra):
+    # 0 would compare the top level with itself, an error of exactly zero
+    with pytest.raises(ValidationError,
+                       match="^reference_extra: must be an integer >= 1"):
+        interpolation_eoc(StaticSphere(), 1, 2, np.sin,
                           reference_extra=reference_extra)
 
 
