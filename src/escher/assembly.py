@@ -202,11 +202,19 @@ def check_length(mesh, values):
 
 
 def _at_quadrature(mesh, alpha, degree):
-    """Triangle areas, the degree's rule, and U_h at its points, (nt, nq)."""
+    """Triangle areas, the degree's rule, and U_h at its points, (nt, nq),
+    read-only.  The values of the last (degree, alpha) are kept on the mesh,
+    so a Newton iterate's residual, its linearisation and the accepted
+    state's energy evaluate U_h once."""
     alpha = check_length(mesh, alpha)
     rule = quadrature_rule(degree)
-    return (assemble_operators(mesh).areas, rule,
-            alpha[mesh.triangles] @ rule.points.T)
+    kept = mesh._cache.get("at_quadrature")
+    if kept is None or kept[0] != degree or not np.array_equal(kept[1], alpha):
+        u_q = alpha[mesh.triangles] @ rule.points.T
+        u_q.flags.writeable = False
+        kept = degree, alpha.copy(), u_q
+        mesh._cache["at_quadrature"] = kept
+    return assemble_operators(mesh).areas, rule, kept[2]
 
 
 def assemble_nonlinear_load(mesh, alpha, pot, degree=NONLINEAR_QUAD_DEGREE):

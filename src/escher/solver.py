@@ -19,9 +19,10 @@ with the exact Jacobian (``_newton``).  Every linearisation is solved by
 BiCGStab on four sparse block products in the natural order, preconditioned
 with one kept single-precision sparse LU factor (``lu_factor``) of the block
 matrix, built by ``sp.bmat`` and permuted to ``assembly.block_order`` only
-when a factor is made (``LinearContext``).  BiCGStab also stops at a
-residual of ``newton_tol / 2``, which Newton's test cannot see below (Dembo,
-Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982).  The initial chemical
+when a factor is made (``LinearContext``).  BiCGStab stops at the relative
+reduction ``newton_tol / (2 max |G|)``, the forcing term in the max-norm of
+Newton's test (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982;
+Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996).  The initial chemical
 potential takes one Jacobi-PCG solve with the mass matrix M, D = diag M:
 kappa(D^-1 M) <= 4 for P1 triangles (Wathen, IMA J. Numer. Anal. 7, 1987).
 Testing the first block row with constants shows ``1^T M alpha`` is
@@ -157,20 +158,24 @@ def lu_factor(A):
 class LinearContext:
     """Linear solves for Newton iterations, reusable across timesteps.
 
-    ``solve`` runs BiCGStab in double precision on ``operator`` to a
-    residual 2-norm below ``RTOL`` |b| or the absolute ``floor``, the
-    larger, with b and the floor scaled exactly by a power of two so |b|^2
-    stays finite.  It is preconditioned, through the permutation ``order``,
-    with a single-precision LU factor (``lu_factor``) of the matrix that
-    ``gather()`` builds in that order, called only when a factor is made;
-    the float64 Krylov residuals recover the digits the factor lacks.  The
-    factor is kept across iterations and timesteps.  Work is counted in
-    applies of it (two per BiCGStab iteration, one for a solve that ends at
-    the half-step).  A kept factor is replaced for the next system after a
-    solve that takes over ``REFACTOR_MARGIN`` applies more than the first on
-    it, and at once, with the solve repeated, when BiCGStab fails within
-    ``REUSE_MAX_ITER`` iterations; on a fresh factor that raises
-    ``IterativeBreakdown``.
+    ``solve`` runs BiCGStab in double precision on ``operator`` until
+    |r|_2 / |b|_2 is below ``RTOL`` or ``floor`` / |b|_inf, the larger,
+    with b and the floor scaled exactly by a power of two so |b|^2 stays
+    finite.  A residual that keeps the spread of b then has max |r| below
+    the floor; one that gathers on fewer entries may not, and costs the
+    caller another Newton iteration, not a wrong answer, as Newton tests
+    the true residual.  For a b with one nonzero entry the bound is the
+    absolute |r|_2 <= floor.  BiCGStab is preconditioned, through the
+    permutation ``order``, with a single-precision LU factor (``lu_factor``)
+    of the matrix that ``gather()`` builds in that order, called only when a
+    factor is made; the float64 Krylov residuals recover the digits the
+    factor lacks.  The factor is kept across iterations and timesteps.  Work
+    is counted in applies of it (two per BiCGStab iteration, one for a solve
+    that ends at the half-step).  A kept factor is replaced for the next
+    system after a solve that takes over ``REFACTOR_MARGIN`` applies more
+    than the first on it, and at once, with the solve repeated, when
+    BiCGStab fails within ``REUSE_MAX_ITER`` iterations; on a fresh factor
+    that raises ``IterativeBreakdown``.
     """
 
     # inner Krylov tolerance: inexact Newton directions are fine because the
@@ -183,7 +188,7 @@ class LinearContext:
         self._factor = None
         self._fresh_applies = 0  # applies of the first solve on the factor
 
-    def _bicgstab(self, operator, order, b, atol=0.0):
+    def _bicgstab(self, operator, order, b, rtol=RTOL):
         factor = self._factor
         applies = 0
 
@@ -197,23 +202,27 @@ class LinearContext:
         x, info = spla.bicgstab(
             operator, b, M=spla.LinearOperator(operator.shape, precondition,
                                                dtype=float),
-            rtol=self.RTOL, atol=atol, maxiter=self.REUSE_MAX_ITER)
+            rtol=rtol, atol=0.0, maxiter=self.REUSE_MAX_ITER)
         return (x if info == 0 and np.isfinite(x).all() else None), applies
 
     def solve(self, operator, gather, order, b, floor=0.0):
-        _, exponent = np.frexp(np.abs(b).max())  # exact scaling: |b|^2 is finite
+        # exact scaling: |b|^2 is finite; |b|_inf = mantissa 2^exponent
+        mantissa, exponent = np.frexp(np.abs(b).max())
         b = np.ldexp(b, -exponent)
-        atol = np.ldexp(floor, -exponent)  # the floor in b's scaling
+        # |r|_2 <= (floor / |b|_inf) |b|_2 puts |r|_inf below the floor if r
+        # spreads as b does; a zero b returns zeros at any rtol
+        rtol = max(self.RTOL, np.ldexp(floor, -exponent) / mantissa
+                   if mantissa else 0.0)
         for fresh in (self._factor is None, True):  # then the stale refactor
             if fresh:
                 self._factor = None  # release a stale one before the new one
                 self._factor = lu_factor(gather())
-            x, applies = self._bicgstab(operator, order, b, atol)
+            x, applies = self._bicgstab(operator, order, b, rtol)
             if x is not None or fresh:
                 break
         if x is None:
             raise IterativeBreakdown(
-                f"BiCGStab on a fresh factor missed rtol {self.RTOL:g} "
+                f"BiCGStab on a fresh factor missed rtol {rtol:g} "
                 f"within {self.REUSE_MAX_ITER} iterations")
         if fresh:
             self._fresh_applies = applies

@@ -249,8 +249,8 @@ class TestLinearContext:
     @pytest.mark.parametrize("ratio", [1e-6, 1e-4, 1e-2, 0.4])
     @pytest.mark.parametrize("drift", [0, 2, 4])
     def test_floor_bounds_the_residual(self, mesh642, drift, ratio, scale):
-        # the floor is absolute: BiCGStab stops once the residual's 2-norm
-        # is below it or below RTOL |b|, whatever the scale of b
+        # the floor is a max-norm target: BiCGStab stops once the relative
+        # residual is below floor / |b|_inf or RTOL, whatever the scale of b
         kept = self.block(mesh642, 1e-4)
         matrix = self.block(mesh642, 1e-4 * 1.2**drift)
         b = scale * np.random.default_rng(8).normal(size=matrix.shape[0])
@@ -259,7 +259,49 @@ class TestLinearContext:
         context._factor = lu_factor(kept)
         x = solve_in_order(context, matrix, b, floor)
         assert np.linalg.norm(matrix @ x - b) <= max(
-            LinearContext.RTOL * np.linalg.norm(b), floor)
+            LinearContext.RTOL, floor / np.abs(b).max()) * np.linalg.norm(b)
+
+    def test_floor_is_the_max_norm_reduction(self, mesh642, monkeypatch):
+        # the stopping rule |r|_2 <= (floor / |b|_inf) |b|_2 on the drifted
+        # system: for a spike b, where |b|_2 = |b|_inf, it is the absolute
+        # |r|_2 <= floor; for a spread b it stops sooner than that would
+        kept = lu_factor(self.block(mesh642, 1e-4))
+        matrix = self.block(mesh642, 1e-4 * 1.2**4)
+        rng = np.random.default_rng(13)
+
+        def solve(b, floor):
+            context = LinearContext()
+            context._factor = counting = CountingFactor(kept)
+            return solve_in_order(context, matrix, b, floor), counting.solves
+
+        spike = np.zeros(matrix.shape[0])
+        spike[rng.integers(spike.size)] = 3.0
+        floor = 1e-3 * 3.0
+        x, applies = solve(spike, floor)
+        assert np.linalg.norm(matrix @ x - spike) <= floor
+        bicgstab = spla.bicgstab
+        atol = np.ldexp(floor, -np.frexp(3.0)[1])  # the floor in b's scaling
+
+        def absolute_floor(A, b, **kwargs):
+            return bicgstab(A, b, **dict(kwargs, rtol=LinearContext.RTOL,
+                                         atol=atol))
+
+        with monkeypatch.context() as patched:
+            patched.setattr(spla, "bicgstab", absolute_floor)
+            assert solve(spike, floor)[1] == applies
+
+        spread = rng.normal(size=matrix.shape[0])
+        peak, size = np.abs(spread).max(), np.linalg.norm(spread)
+        floor = 1e-2 * peak
+        x, applies = solve(spread, floor)
+        residual = np.linalg.norm(matrix @ x - spread)
+        assert floor < residual <= floor / peak * size
+        assert applies < solve(spread, floor * peak / size)[1]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, applies = solve(np.zeros(matrix.shape[0]), floor)
+        npt.assert_array_equal(x, 0.0)
 
     def test_floor_scales_with_b(self, mesh642):
         # b and the floor scaled by one power of two scale x exactly
